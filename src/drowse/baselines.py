@@ -21,7 +21,6 @@ SEGMENT = 128
 BANDS = (("delta", 1.0, 4.0), ("theta", 4.0, 8.0),
          ("alpha", 8.0, 12.0), ("beta", 12.0, 30.0))
 
-FEATURE_KINDS = ("relative_power", "power_ratio", "four_entropies")
 CLASSIFIER_KINDS = ("lr", "lda", "qda", "gnb", "knn")
 
 LR_ITERATIONS = 500
@@ -203,26 +202,13 @@ _FEATURE_FUNCS = {
 }
 
 
-def extract_features(x: np.ndarray, kind: str) -> np.ndarray:
+def feature_matrix(data: np.ndarray, kind: str) -> np.ndarray:
+    """[n, 4] feature matrix for [n, 384] sample data."""
     try:
         func = _FEATURE_FUNCS[kind]
     except KeyError:
         raise ValueError(f"unknown feature kind: {kind!r}") from None
-    return func(x)
-
-
-def feature_matrix(data: np.ndarray, kind: str) -> np.ndarray:
-    """[n, 4] feature matrix for [n, 384] sample data."""
-    return np.stack([extract_features(row.astype(np.float64), kind) for row in data])
-
-
-def write_features_csv(features: np.ndarray, labels, subjects, kind: str, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# features={kind}\n")
-        fh.write("subject_id,label,f1,f2,f3,f4\n")
-        for i in range(features.shape[0]):
-            values = ",".join(f"{v:.9g}" for v in features[i])
-            fh.write(f"{int(subjects[i])},{int(labels[i])},{values}\n")
+    return np.stack([func(row.astype(np.float64)) for row in data])
 
 
 # -- classifiers ---------------------------------------------------------------

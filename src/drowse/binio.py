@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import struct
 from typing import BinaryIO
 
@@ -11,10 +12,14 @@ class FormatError(ValueError):
 
 
 def read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
+    """Read exactly n bytes. A count beyond the end of the file is refused
+    before reading, so a corrupt length field cannot ask for a huge buffer."""
+    here = fh.tell()
+    left = fh.seek(0, os.SEEK_END) - here
+    fh.seek(here)
+    if n > left:
         raise FormatError(f"truncated file while reading {what}")
-    return buf
+    return fh.read(n)
 
 
 def expect_magic(fh: BinaryIO, magic: bytes) -> None:

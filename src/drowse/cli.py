@@ -23,7 +23,6 @@ FEATURE_KINDS = {
     "ratios": "power_ratio",
     "entropies": "four_entropies",
 }
-CLASSIFIER_KINDS = ("lr", "lda", "qda", "gnb", "knn")
 
 
 class UsageError(Exception):
@@ -253,7 +252,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="input .eegd sample file")
     p.add_argument("--features", required=True, choices=sorted(FEATURE_KINDS),
                    help="feature family")
-    p.add_argument("--clf", required=True, choices=CLASSIFIER_KINDS, help="classifier")
+    p.add_argument("--clf", required=True, choices=baselines.CLASSIFIER_KINDS, help="classifier")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_baseline)
 

@@ -44,6 +44,9 @@ _KAISER_BETA = 0.1102 * (64.0 - 8.7)
 _EEGD_MAGIC = b"EEGD"
 _EEGS_MAGIC = b"EEGS"
 _FORMAT_VERSION = 1
+# One .eegd row: subject id, label, a zero pad byte, then the samples.
+_EEGD_ROW = np.dtype([("subject", "<u2"), ("label", "u1"), ("pad", "u1"),
+                      ("data", "<f4", (SAMPLE_POINTS,))])
 
 
 @dataclass
@@ -121,9 +124,6 @@ class SampleSet:
     def subject_ids(self) -> list:
         return sorted(int(s) for s in np.unique(self.subjects))
 
-    def subject_index(self) -> dict:
-        return {sid: np.flatnonzero(self.subjects == sid) for sid in self.subject_ids()}
-
     def subset(self, which) -> "SampleSet":
         return SampleSet(self.data[which], self.labels[which], self.subjects[which])
 
@@ -162,8 +162,7 @@ class SessionRecord:
                 raise ValueError("events not sorted by onset")
             if np.any(onset >= resp_on) or np.any(resp_on > resp_off):
                 raise ValueError("each event needs onset < response onset <= response offset")
-            duration = self.signal.size / self.rate
-            if onset[0] < 0 or np.any(resp_off > duration):
+            if onset[0] < 0 or np.any(resp_off > self.duration_s):
                 raise ValueError("event times fall outside the recording")
 
     @property
@@ -384,14 +383,14 @@ def balance(sessions) -> SampleSet:
 # -- file formats -------------------------------------------------------------
 
 def write_sampleset(sample_set: SampleSet, path) -> None:
-    n = len(sample_set)
+    rows = np.zeros(len(sample_set), dtype=_EEGD_ROW)
+    rows["subject"] = sample_set.subjects
+    rows["label"] = sample_set.labels
+    rows["data"] = sample_set.data
     with open(path, "wb") as fh:
         fh.write(_EEGD_MAGIC)
-        fh.write(struct.pack("<IIII", _FORMAT_VERSION, n, SAMPLE_POINTS, SAMPLE_RATE_HZ))
-        for i in range(n):
-            fh.write(struct.pack("<HBB", int(sample_set.subjects[i]),
-                                 int(sample_set.labels[i]), 0))
-            fh.write(sample_set.data[i].astype("<f4").tobytes())
+        fh.write(struct.pack("<IIII", _FORMAT_VERSION, rows.size, SAMPLE_POINTS, SAMPLE_RATE_HZ))
+        fh.write(rows.tobytes())
 
 
 def read_sampleset(path) -> SampleSet:
@@ -405,22 +404,17 @@ def read_sampleset(path) -> SampleSet:
             raise FormatError(f"expected {SAMPLE_POINTS} points per sample, got {n_points}")
         if rate != SAMPLE_RATE_HZ:
             raise FormatError(f"expected {SAMPLE_RATE_HZ} Hz samples, got {rate}")
-        data = np.empty((n, SAMPLE_POINTS), dtype=np.float32)
-        labels = np.empty(n, dtype=np.uint8)
-        subjects = np.empty(n, dtype=np.uint16)
-        row_bytes = 4 + 4 * SAMPLE_POINTS
-        for i in range(n):
-            row = read_exact(fh, row_bytes, f"sample {i}")
-            subject, label, _ = struct.unpack_from("<HBB", row)
-            if label > 1:
-                raise FormatError(f"sample {i} has invalid label {label}")
-            subjects[i] = subject
-            labels[i] = label
-            data[i] = np.frombuffer(row, dtype="<f4", count=SAMPLE_POINTS, offset=4)
+        rows = np.frombuffer(read_exact(fh, n * _EEGD_ROW.itemsize, "samples"), dtype=_EEGD_ROW)
+        bad = np.flatnonzero(rows["label"] > 1)
+        if bad.size:
+            raise FormatError(f"sample {bad[0]} has invalid label {rows['label'][bad[0]]}")
         extra = fh.read(1)
         if extra:
             raise FormatError("trailing bytes after the last sample")
-    return SampleSet(data, labels, subjects)
+    try:
+        return SampleSet(rows["data"].copy(), rows["label"].copy(), rows["subject"].copy())
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def write_session(session: SessionRecord, path) -> None:
@@ -447,7 +441,10 @@ def read_session(path) -> SessionRecord:
         extra = fh.read(1)
         if extra:
             raise FormatError("trailing bytes after the event table")
-    return SessionRecord(rate, signal, events.copy())
+    try:
+        return SessionRecord(rate, signal, events.copy())
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 # -- synthetic data -----------------------------------------------------------

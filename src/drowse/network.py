@@ -172,45 +172,21 @@ def _conv_windows(x2: np.ndarray, kernel_len: int) -> np.ndarray:
     return np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(xpad, kernel_len, axis=1))
 
 
-def conv1d_same(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stride-1 'same' 1-D convolution (correlation) of a single-channel
-    batch [B, 1, n] with kernels [K, 1, L]; zero padding is split
-    (L-1)//2 left, L//2 right so output length equals n."""
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    if x.ndim != 3 or x.shape[1] != 1:
-        raise ValueError(f"expected input [B, 1, n], got {x.shape}")
-    if w.ndim != 3 or w.shape[1] != 1:
-        raise ValueError(f"expected kernels [K, 1, L], got {w.shape}")
-    if np.shape(b) != (w.shape[0],):
-        raise ValueError("bias shape does not match kernel count")
-    windows = _conv_windows(x[:, 0, :], w.shape[2])
-    return _conv_apply(windows, w, np.asarray(b, dtype=np.float64))
-
-
 def _conv_apply(windows: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Correlate [B, n, L] windows with kernels [K, 1, L], add bias -> [B, K, n].
     batch, n, length = windows.shape
     w2 = w[:, 0, :]  # [K, L]
     out = windows.reshape(batch * n, length) @ w2.T + b
     return out.reshape(batch, n, w2.shape[0]).transpose(0, 2, 1)
 
 
-def _conv_backward(dout, windows, w):
+def _conv_backward(dout, windows):
+    # Kernel and bias gradients only: the input is the data, so no gradient
+    # flows further back.
     batch, k, n = dout.shape
-    length = windows.shape[2]
-    w2 = w[:, 0, :]
     dout_flat = dout.transpose(1, 0, 2).reshape(k, batch * n)
-    dw2 = dout_flat @ windows.reshape(batch * n, length)
-    db = dout.sum(axis=(0, 2))
-    # Scatter the per-tap contributions back onto the padded signal.
-    proj = dout.transpose(0, 2, 1).reshape(batch * n, k) @ w2  # [B*n, L]
-    proj = proj.reshape(batch, n, length)
-    dxpad = np.zeros((batch, n + length - 1))
-    for tap in range(length):
-        dxpad[:, tap : tap + n] += proj[:, :, tap]
-    left = (length - 1) // 2
-    dx = dxpad[:, left : left + n]
-    return dx, dw2[:, None, :], db
+    dw2 = dout_flat @ windows.reshape(batch * n, windows.shape[2])
+    return dw2[:, None, :], dout.sum(axis=(0, 2))
 
 
 def batchnorm_eval(x, gamma, beta, run_mean, run_var):
@@ -230,20 +206,6 @@ def _batchnorm_train(x, gamma, beta):
     xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
     out = gamma[None, :, None] * xhat + beta[None, :, None]
     return out, xhat, mean, var, inv_std
-
-
-def batchnorm(x, gamma, beta, run_mean, run_var, mode: str):
-    """Batch normalization over a [B, K, n] activation.
-
-    Train mode standardizes with batch statistics (over batch and time);
-    eval mode uses the supplied running statistics. The caller owns the
-    running-stat update (see `updated_running_stats`)."""
-    x = np.asarray(x, dtype=np.float64)
-    if mode == "train":
-        return _batchnorm_train(x, gamma, beta)[0]
-    if mode == "eval":
-        return batchnorm_eval(x, gamma, beta, run_mean, run_var)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def updated_running_stats(params: ModelParams, batch_mean, batch_var):
@@ -282,10 +244,6 @@ def avgpool(x: np.ndarray, pool: int) -> np.ndarray:
         raise ValueError(f"temporal length {x.shape[2]} not divisible by pool {pool}")
     b, k, n = x.shape
     return x.reshape(b, k, n // pool, pool).mean(axis=3)
-
-
-def avgpool8(x: np.ndarray) -> np.ndarray:
-    return avgpool(x, 8)
 
 
 def _avgpool_backward(dout, pool):
@@ -466,8 +424,11 @@ def model_forward(
     return probs, trace
 
 
-def _mean_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
-    picked = probs[np.arange(probs.shape[0]), labels]
+def cross_entropy(probabilities: np.ndarray, labels: np.ndarray) -> float:
+    """Mean negative log-likelihood; probabilities clamped at 1e-12."""
+    probabilities = np.asarray(probabilities, dtype=np.float64)
+    labels = np.asarray(labels)
+    picked = probabilities[np.arange(labels.size), labels]
     return float(-np.mean(np.log(np.maximum(picked, 1e-12))))
 
 
@@ -489,7 +450,7 @@ def model_gradients(
     if labels.min() < 0 or labels.max() >= config.n_classes:
         raise ValueError("labels out of range")
     probs, trace = model_forward(batch, params, "train", config)
-    loss = _mean_cross_entropy(probs, labels)
+    loss = cross_entropy(probs, labels)
     if not np.isfinite(loss):
         raise ValueError("non-finite training loss")
 
@@ -505,7 +466,7 @@ def model_gradients(
     dconv, dgamma, dbeta = _batchnorm_backward(
         dbn_out, trace.bn_xhat, trace.bn_inv_std, params.bn_gamma
     )
-    _, dw, db = _conv_backward(dconv, trace.conv_windows, params.conv_w)
+    dw, db = _conv_backward(dconv, trace.conv_windows)
 
     grads: dict[str, np.ndarray] = {"conv_w": dw, "conv_b": db, "bn_gamma": dgamma, "bn_beta": dbeta}
     grads.update(lstm_grads)
@@ -539,7 +500,7 @@ def save_params(params: ModelParams, path) -> None:
 def load_params(path, config: NetConfig = NetConfig()) -> ModelParams:
     """Read a model file back; raises FormatError on bad magic or version,
     unknown or missing tensor names, shape mismatches, or truncation."""
-    known = dict(_TENSOR_ATTRS)
+    known = {name.encode("ascii"): (name, attr) for name, attr in _TENSOR_ATTRS}
     shapes = expected_shapes(config)
     tensors: dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
@@ -549,12 +510,12 @@ def load_params(path, config: NetConfig = NetConfig()) -> ModelParams:
         count = read_u32(fh, "tensor count")
         for _ in range(count):
             name_len = read_u16(fh, "tensor name length")
-            name = read_exact(fh, name_len, "tensor name").decode("ascii")
-            if name not in known:
-                raise FormatError(f"unknown tensor name {name!r}")
+            raw_name = read_exact(fh, name_len, "tensor name")
+            if raw_name not in known:
+                raise FormatError(f"unknown tensor name {raw_name!r}")
+            name, attr = known[raw_name]
             rank = read_exact(fh, 1, "tensor rank")[0]
             dims = struct.unpack(f"<{rank}I", read_exact(fh, 4 * rank, "tensor dims"))
-            attr = known[name]
             if tuple(dims) != shapes[attr]:
                 raise FormatError(
                     f"tensor {name!r} has shape {tuple(dims)}, expected {shapes[attr]}"

@@ -1,10 +1,11 @@
 """Model training and subject-independent evaluation.
 
-Cross-entropy loss, bias-corrected Adam, the seeded epoch loop (batch-norm
-running statistics are folded in after every batch), and a leave-one-subject-
-out harness that records per-epoch test accuracy for every (subject, repeat)
-pair.  Folds are embarrassingly parallel; results are keyed by (subject,
-repeat) so thread count never changes the report.
+Bias-corrected Adam, the seeded epoch loop (batch-norm running statistics
+are folded in after every batch; the loss and its gradients come from
+network.model_gradients), and a leave-one-subject-out harness that records
+per-epoch test accuracy for every (subject, repeat) pair.  Folds are
+embarrassingly parallel; results are keyed by (subject, repeat) so thread
+count never changes the report.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .network import (
     model_gradients,
     updated_running_stats,
 )
-from .numerics import Rng, paired_t_test
+from .numerics import Rng
 
 EVAL_CHUNK = 256
 
@@ -64,14 +65,6 @@ class AdamState:
             m={name: np.zeros_like(tensor) for name, tensor in params.learnable_items()},
             v={name: np.zeros_like(tensor) for name, tensor in params.learnable_items()},
         )
-
-
-def cross_entropy(probabilities: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log-likelihood; probabilities clamped at 1e-12."""
-    probabilities = np.asarray(probabilities, dtype=np.float64)
-    labels = np.asarray(labels)
-    picked = probabilities[np.arange(labels.size), labels]
-    return float(-np.mean(np.log(np.maximum(picked, 1e-12))))
 
 
 def adam_step(params, grads: dict, state: AdamState, config: TrainConfig):
@@ -219,11 +212,6 @@ def run_loso(data, config: TrainConfig, threads: int = 1,
     for subject, repeat, accs in results:
         accuracies[row[subject], repeat - 1, :] = accs
     return CvReport(subjects, accuracies)
-
-
-def paired_comparison(acc_a: np.ndarray, acc_b: np.ndarray) -> tuple:
-    """Paired t-test over per-subject accuracies (same subject order)."""
-    return paired_t_test(acc_a, acc_b)
 
 
 def write_report_csv(report: CvReport, path) -> None:

@@ -5,7 +5,6 @@ import pytest
 
 from drowse.baselines import (
     approximate_entropy,
-    extract_features,
     feature_matrix,
     fit_classifier,
     four_entropies,
@@ -18,7 +17,6 @@ from drowse.baselines import (
     sample_entropy,
     spectral_entropy,
     welch_psd,
-    write_features_csv,
 )
 from drowse.dataio import generate_synthetic
 from drowse.numerics import Rng
@@ -237,12 +235,12 @@ class TestEntropies:
 class TestFeatureDispatch:
     def test_kinds(self):
         x = tone(10.0) + 0.1 * Rng(49).normal((384,))
-        np.testing.assert_array_equal(extract_features(x, "relative_power"),
+        np.testing.assert_array_equal(feature_matrix(x[None, :], "relative_power")[0],
                                       relative_powers(x))
-        np.testing.assert_array_equal(extract_features(x, "power_ratio"),
+        np.testing.assert_array_equal(feature_matrix(x[None, :], "power_ratio")[0],
                                       power_ratios(x))
         with pytest.raises(ValueError, match="unknown feature"):
-            extract_features(x, "wavelets")
+            feature_matrix(x[None, :], "wavelets")
 
     def test_permutation_equivariance(self):
         data = generate_synthetic(2, 10, 6).data
@@ -250,16 +248,6 @@ class TestFeatureDispatch:
         a = feature_matrix(data, "relative_power")[perm]
         b = feature_matrix(data[perm], "relative_power")
         np.testing.assert_array_equal(a, b)
-
-    def test_features_csv(self, tmp_path):
-        data = generate_synthetic(2, 10, 7)
-        features = feature_matrix(data.data, "relative_power")
-        path = tmp_path / "features.csv"
-        write_features_csv(features, data.labels, data.subjects, "relative_power", path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# features=relative_power"
-        assert lines[1] == "subject_id,label,f1,f2,f3,f4"
-        assert len(lines) == 2 + len(data)
 
 
 def clouds(n_per_class=40, distance=3.0, seed=51):

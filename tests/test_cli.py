@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,14 @@ class TestPrepare:
         assert code == 2
         assert "error" in capsys.readouterr().err
         assert not (tmp_path / "out.eegd").exists()
+
+    @pytest.mark.parametrize("n_points", [2**62, 2**42])
+    def test_huge_point_count_is_runtime_error(self, tmp_path, capsys, n_points):
+        path = tmp_path / "s01_1.eegs"
+        path.write_bytes(b"EEGS" + struct.pack("<IIQ", 1, 500, n_points))
+        code = run("prepare", str(path), "--out", str(tmp_path / "out.eegd"))
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_undigited_filename_is_usage_error(self, tmp_path, capsys):
         write_rt_session(tmp_path / "nodigits.eegs")

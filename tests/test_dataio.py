@@ -320,14 +320,6 @@ class TestSampleSetIO:
         with pytest.raises(FormatError, match="trailing"):
             read_sampleset(path)
 
-    def test_subject_index_consistency(self):
-        rng = Rng(14)
-        s = self.random_set(rng, 40)
-        index = s.subject_index()
-        for sid, positions in index.items():
-            assert np.all(s.subjects[positions] == sid)
-        assert sum(len(p) for p in index.values()) == len(s)
-
 
 class TestSessionIO:
     def test_round_trip(self, tmp_path):

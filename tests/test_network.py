@@ -8,9 +8,8 @@ from drowse.network import (
     NetConfig,
     ModelParams,
     avgpool,
-    avgpool8,
-    batchnorm,
-    conv1d_same,
+    batchnorm_eval,
+    cross_entropy,
     elu,
     init_params,
     load_params,
@@ -19,7 +18,9 @@ from drowse.network import (
     model_gradients,
     save_params,
     updated_running_stats,
-    _mean_cross_entropy,
+    _batchnorm_train,
+    _conv_apply,
+    _conv_windows,
 )
 from drowse.numerics import Rng
 
@@ -45,7 +46,7 @@ def naive_conv(x, w, b):
 
 def loss_of(params, batch, labels, config):
     probs, _ = model_forward(batch, params, "train", config)
-    return _mean_cross_entropy(probs, labels)
+    return cross_entropy(probs, labels)
 
 
 class TestInit:
@@ -76,14 +77,14 @@ class TestConv:
         x = rng.normal((3, 1, 384))
         w = np.zeros((32, 1, 64))
         w[:, 0, 31] = 1.0
-        out = conv1d_same(x, w, np.zeros(32))
+        out = _conv_apply(_conv_windows(x[:, 0, :], 64), w, np.zeros(32))
         for j in range(32):
             np.testing.assert_allclose(out[:, j, :], x[:, 0, :], atol=1e-12)
 
     def test_ones_kernel_constant_interior(self):
         c = 2.5
         x = np.full((1, 1, 384), c)
-        out = conv1d_same(x, np.ones((1, 1, 64)), np.array([0.75]))
+        out = _conv_apply(_conv_windows(x[:, 0, :], 64), np.ones((1, 1, 64)), np.array([0.75]))
         np.testing.assert_allclose(out[0, 0, 32:320], 64 * c + 0.75, atol=1e-9)
 
     def test_matches_naive(self):
@@ -91,39 +92,43 @@ class TestConv:
         x = rng.normal((2, 1, 20))
         w = rng.normal((3, 1, 5))
         b = rng.normal((3,))
-        np.testing.assert_allclose(conv1d_same(x, w, b), naive_conv(x, w, b), atol=1e-12)
+        out = _conv_apply(_conv_windows(x[:, 0, :], 5), w, b)
+        np.testing.assert_allclose(out, naive_conv(x, w, b), atol=1e-12)
 
     def test_shape_mismatch(self):
+        # the production conv sits behind model_forward's shape checks
+        p = init_params(Rng(5))
         with pytest.raises(ValueError):
-            conv1d_same(np.zeros((2, 2, 384)), np.zeros((32, 1, 64)), np.zeros(32))
+            model_forward(np.zeros((2, 2, 384)), p, "eval")
+        p.conv_b = np.zeros(31)
         with pytest.raises(ValueError):
-            conv1d_same(np.zeros((2, 1, 384)), np.zeros((32, 1, 64)), np.zeros(31))
+            model_forward(np.zeros((2, 1, 384)), p, "eval")
 
 
 class TestBatchNorm:
     def test_train_standardizes(self):
         rng = Rng(2)
         x = rng.normal((4, 32, 384), mean=3.0, std=2.0)
-        out = batchnorm(x, np.ones(32), np.zeros(32), np.zeros(32), np.ones(32), "train")
+        out = _batchnorm_train(x, np.ones(32), np.zeros(32))[0]
         np.testing.assert_allclose(out.mean(axis=(0, 2)), 0.0, atol=1e-6)
         np.testing.assert_allclose(out.var(axis=(0, 2)), 1.0, atol=1e-4)
 
     def test_zero_variance_channel(self):
         x = np.full((3, 2, 16), 5.0)
         beta = np.array([0.25, -0.5])
-        out = batchnorm(x, np.ones(2), beta, np.zeros(2), np.ones(2), "train")
+        out = _batchnorm_train(x, np.ones(2), beta)[0]
         np.testing.assert_allclose(out[:, 0, :], 0.25, atol=1e-3)
         np.testing.assert_allclose(out[:, 1, :], -0.5, atol=1e-3)
 
     def test_eval_identity(self):
         rng = Rng(9)
         x = rng.normal((2, 4, 12))
-        out = batchnorm(x, np.ones(4), np.zeros(4), np.zeros(4), np.ones(4), "eval")
+        out = batchnorm_eval(x, np.ones(4), np.zeros(4), np.zeros(4), np.ones(4))
         np.testing.assert_allclose(out, x / math.sqrt(1.0 + 1e-5), atol=1e-12)
 
     def test_single_sample_train_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            batchnorm(np.zeros((1, 4, 12)), np.ones(4), np.zeros(4), np.zeros(4), np.ones(4), "train")
+            _batchnorm_train(np.zeros((1, 4, 12)), np.ones(4), np.zeros(4))
 
     def test_running_update(self):
         p = init_params(Rng(1))
@@ -151,14 +156,14 @@ class TestElu:
 class TestAvgPool:
     def test_constant(self):
         x = np.full((2, 3, 384), 1.25)
-        np.testing.assert_array_equal(avgpool8(x), np.full((2, 3, 48), 1.25))
+        np.testing.assert_array_equal(avgpool(x, 8), np.full((2, 3, 48), 1.25))
 
     def test_window_mean(self):
         x = np.arange(1.0, 9.0).reshape(1, 1, 8)
-        assert avgpool8(x)[0, 0, 0] == pytest.approx(4.5)
+        assert avgpool(x, 8)[0, 0, 0] == pytest.approx(4.5)
 
     def test_output_length(self):
-        assert avgpool8(np.zeros((1, 32, 384))).shape == (1, 32, 48)
+        assert avgpool(np.zeros((1, 32, 384)), 8).shape == (1, 32, 48)
 
     def test_indivisible(self):
         with pytest.raises(ValueError, match="divisible"):

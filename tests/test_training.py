@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from drowse.dataio import SampleSet, generate_synthetic
-from drowse.network import NetConfig, init_params
+from drowse.network import NetConfig, cross_entropy, init_params
 from drowse.numerics import Rng, paired_t_test
 from drowse.training import (
     AdamState,
     CvReport,
     TrainConfig,
     adam_step,
-    cross_entropy,
     evaluate,
     loso_split,
-    paired_comparison,
     run_loso,
     train,
     write_report_csv,
@@ -237,21 +235,16 @@ class TestLoso:
 
 
 class TestPairedComparison:
-    def test_delegates_to_t_test(self):
-        rng = Rng(13)
-        a = rng.uniform((11,), 0.5, 1.0)
-        b = rng.uniform((11,), 0.5, 1.0)
-        assert paired_comparison(a, b) == paired_t_test(a, b)
-
+    # per-subject accuracy vectors go straight to numerics.paired_t_test
     def test_identical_accuracies_degenerate(self):
         a = np.array([0.7, 0.8, 0.9])
         with pytest.raises(ValueError):
-            paired_comparison(a, a.copy())
+            paired_t_test(a, a.copy())
 
     def test_constant_shift_degenerate(self):
         a = np.array([0.7, 0.8, 0.9])
         with pytest.raises(ValueError):
-            paired_comparison(a, a - 0.05)
+            paired_t_test(a, a - 0.05)
 
 
 class TestCsvReports:
