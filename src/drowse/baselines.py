@@ -108,54 +108,78 @@ def spectral_entropy(x: np.ndarray) -> float:
 # -- entropies -----------------------------------------------------------------
 
 def _validate_entropy_input(x: np.ndarray, m: int) -> np.ndarray:
+    if m < 1:
+        raise ValueError(f"template length m must be at least 1, got {m}")
     x = np.asarray(x, dtype=np.float64).ravel()
     if x.size < m + 2:
         raise ValueError(f"need at least {m + 2} points, got {x.size}")
     return x
 
 
-def _chebyshev_matrix(templates: np.ndarray) -> np.ndarray:
-    return np.abs(templates[:, None, :] - templates[None, :, :]).max(axis=2)
+def _lagwise_chebyshev(templates: np.ndarray) -> np.ndarray:
+    """[N, N] Chebyshev distances between the rows of [N, mm] templates.
+
+    Built one lag at a time, d = max_k |t[i, k] - t[j, k]|, so no [N, N, mm]
+    difference array exists; max and abs are exact, so the values equal the
+    broadcast formulation bit for bit.
+    """
+    col = templates[:, 0]
+    d = np.abs(col[:, None] - col[None, :])
+    for k in range(1, templates.shape[1]):
+        col = templates[:, k]
+        np.maximum(d, np.abs(col[:, None] - col[None, :]), out=d)
+    return d
 
 
-def approximate_entropy(x: np.ndarray, m: int = 2, r: float | None = None) -> float:
-    """ApEn: phi(m) - phi(m+1), Chebyshev distance, self-matches included."""
+def _sample_and_approximate_entropy(x: np.ndarray, m: int, r: float | None) -> tuple:
+    """(SampEn, ApEn) from one pair of Chebyshev match masks.
+
+    The length-m distances d_m come lag by lag over all n-m+1 templates; the
+    length-(m+1) ones follow from the recursion
+    d_{m+1}[i, j] = max(d_m[i, j], |x[i+m] - x[j+m]|) over the first n-m.
+    ApEn counts each mask in full (self-matches included); SampEn counts the
+    first n-m rows and columns of each (self-matches dropped), as Richman &
+    Moorman 2000 define it. Sharing the masks follows Manis 2008.
+    """
     x = _validate_entropy_input(x, m)
     sd = float(x.std())
     if sd == 0.0:
-        return 0.0
+        return 0.0, 0.0
     if r is None:
         r = 0.2 * sd
+    n_templates = x.size - m
+    d_m = _lagwise_chebyshev(sliding_window_view(x, m))
+    tail = x[m:]
+    d_m1 = np.maximum(d_m[:-1, :-1], np.abs(tail[:, None] - tail[None, :]))
+    within_m = d_m <= r
+    within_m1 = d_m1 <= r
 
-    def phi(mm):
-        templates = sliding_window_view(x, mm)
-        counts = (_chebyshev_matrix(templates) <= r).sum(axis=1)
-        return np.mean(np.log(counts / templates.shape[0]))
+    b = within_m[:-1, :-1].sum() - n_templates  # drop the diagonal
+    a = within_m1.sum() - n_templates
+    sampen = float(-np.log(max(a, 0.5) / max(b, 0.5)))
 
-    return float(phi(m) - phi(m + 1))
+    def phi(within):
+        return np.mean(np.log(within.sum(axis=1) / within.shape[0]))
+
+    return sampen, float(phi(within_m) - phi(within_m1))
+
+
+def approximate_entropy(x: np.ndarray, m: int = 2, r: float | None = None) -> float:
+    """ApEn: phi(m) - phi(m+1), Chebyshev distance, self-matches included.
+
+    phi(mm) averages the log share of the n-mm+1 templates within r of each
+    template; see `_sample_and_approximate_entropy` for the shared masks.
+    """
+    return _sample_and_approximate_entropy(x, m, r)[1]
 
 
 def sample_entropy(x: np.ndarray, m: int = 2, r: float | None = None) -> float:
     """SampEn: -ln(A/B) over n-m templates of both lengths, self-matches excluded.
 
-    A zero match count is capped at 0.5 so the logarithm stays finite.
+    A zero match count is capped at 0.5 so the logarithm stays finite. The
+    masks are shared with ApEn; see `_sample_and_approximate_entropy`.
     """
-    x = _validate_entropy_input(x, m)
-    sd = float(x.std())
-    if sd == 0.0:
-        return 0.0
-    if r is None:
-        r = 0.2 * sd
-    n_templates = x.size - m
-
-    def matches(mm):
-        templates = sliding_window_view(x, mm)[:n_templates]
-        d = _chebyshev_matrix(templates)
-        return (d <= r).sum() - n_templates  # drop the diagonal
-
-    b = matches(m)
-    a = matches(m + 1)
-    return float(-np.log(max(a, 0.5) / max(b, 0.5)))
+    return _sample_and_approximate_entropy(x, m, r)[0]
 
 
 def fuzzy_entropy(x: np.ndarray, m: int = 2, r: float | None = None,
@@ -163,7 +187,9 @@ def fuzzy_entropy(x: np.ndarray, m: int = 2, r: float | None = None,
     """FuzzyEn: ln phi(m) - ln phi(m+1) with similarity exp(-d^width / r).
 
     Templates are baseline-removed (their own mean subtracted) before the
-    Chebyshev distance; both template lengths use n-m templates.
+    Chebyshev distance; both template lengths use n-m templates. The mean
+    removal differs between lengths, so each length builds its own distance
+    matrix lag by lag instead of using the SampEn/ApEn recursion.
     """
     x = _validate_entropy_input(x, m)
     sd = float(x.std())
@@ -176,8 +202,7 @@ def fuzzy_entropy(x: np.ndarray, m: int = 2, r: float | None = None,
     def phi(mm):
         templates = sliding_window_view(x, mm)[:n_templates]
         templates = templates - templates.mean(axis=1, keepdims=True)
-        d = _chebyshev_matrix(templates)
-        mu = np.exp(-(d ** width) / r)
+        mu = np.exp(-(_lagwise_chebyshev(templates) ** width) / r)
         return (mu.sum() - n_templates) / (n_templates * (n_templates - 1))
 
     return float(np.log(phi(m)) - np.log(phi(m + 1)))
@@ -185,12 +210,8 @@ def fuzzy_entropy(x: np.ndarray, m: int = 2, r: float | None = None,
 
 def four_entropies(x: np.ndarray) -> np.ndarray:
     """(sample, fuzzy, approximate, spectral) entropy of one sample."""
-    return np.array([
-        sample_entropy(x),
-        fuzzy_entropy(x),
-        approximate_entropy(x),
-        spectral_entropy(x),
-    ])
+    sampen, apen = _sample_and_approximate_entropy(x, 2, None)
+    return np.array([sampen, fuzzy_entropy(x), apen, spectral_entropy(x)])
 
 
 # -- feature dispatch ----------------------------------------------------------
@@ -337,14 +358,12 @@ def predict_classifier(model: ClassifierModel, features: np.ndarray) -> np.ndarr
 
     if model.kind == "knn":
         f = model.fitted
-        labels = np.empty(z.shape[0], dtype=np.int64)
-        for i in range(z.shape[0]):
-            dist = np.sqrt(((f["z"] - z[i]) ** 2).sum(axis=1))
-            # stable sort: equal distances resolve to the lower training index
-            order = np.argsort(dist, kind="stable")[:f["k"]]
-            votes = int(f["y"][order].sum())
-            labels[i] = 1 if votes > order.size - votes else 0
-        return labels
+        dist = np.sqrt(((f["z"] - z[:, None]) ** 2).sum(axis=2))
+        # stable sort: equal distances resolve to the lower training index
+        nearest = np.argsort(dist, axis=1, kind="stable")[:, :f["k"]]
+        votes = f["y"][nearest].sum(axis=1)
+        # a tied vote goes to class 0
+        return (votes > nearest.shape[1] - votes).astype(np.int64)
 
     scores = _scores(model, z)
     return (scores[:, 1] > scores[:, 0]).astype(np.int64)

@@ -499,7 +499,8 @@ def save_params(params: ModelParams, path) -> None:
 
 def load_params(path, config: NetConfig = NetConfig()) -> ModelParams:
     """Read a model file back; raises FormatError on bad magic or version,
-    unknown or missing tensor names, shape mismatches, or truncation."""
+    unknown or missing tensor names, shape mismatches, non-finite values,
+    or truncation."""
     known = {name.encode("ascii"): (name, attr) for name, attr in _TENSOR_ATTRS}
     shapes = expected_shapes(config)
     tensors: dict[str, np.ndarray] = {}
@@ -523,6 +524,8 @@ def load_params(path, config: NetConfig = NetConfig()) -> ModelParams:
             n_vals = int(np.prod(dims)) if dims else 1
             raw = read_exact(fh, 4 * n_vals, f"values of {name!r}")
             arr = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(dims)
+            if not np.all(np.isfinite(arr)):
+                raise FormatError(f"tensor {name!r} has non-finite values")
             if attr in tensors:
                 raise FormatError(f"duplicate tensor {name!r}")
             tensors[attr] = arr

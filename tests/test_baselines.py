@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from drowse.baselines import (
     approximate_entropy,
@@ -98,6 +99,62 @@ def fuzzyen_oracle(x, m=2, r=None, width=2):
         return total / (count * (count - 1))
 
     return math.log(phi(m)) - math.log(phi(m + 1))
+
+
+# Broadcast reference: the [N, N, m] formulation the lag-wise code replaced,
+# in the same summation order, so results must agree bit for bit.
+
+def _broadcast_chebyshev(t):
+    return np.abs(t[:, None, :] - t[None, :, :]).max(axis=2)
+
+
+def _reference_setup(x, r):
+    x = np.asarray(x, dtype=np.float64).ravel()
+    sd = float(x.std())
+    return x, sd, (0.2 * sd if r is None else r)
+
+
+def apen_broadcast(x, m=2, r=None):
+    x, sd, r = _reference_setup(x, r)
+    if sd == 0.0:
+        return 0.0
+
+    def phi(mm):
+        templates = sliding_window_view(x, mm)
+        counts = (_broadcast_chebyshev(templates) <= r).sum(axis=1)
+        return np.mean(np.log(counts / templates.shape[0]))
+
+    return float(phi(m) - phi(m + 1))
+
+
+def sampen_broadcast(x, m=2, r=None):
+    x, sd, r = _reference_setup(x, r)
+    if sd == 0.0:
+        return 0.0
+    n_templates = x.size - m
+
+    def matches(mm):
+        templates = sliding_window_view(x, mm)[:n_templates]
+        return (_broadcast_chebyshev(templates) <= r).sum() - n_templates
+
+    b = matches(m)
+    a = matches(m + 1)
+    return float(-np.log(max(a, 0.5) / max(b, 0.5)))
+
+
+def fuzzyen_broadcast(x, m=2, r=None, width=2):
+    x, sd, r = _reference_setup(x, r)
+    if sd == 0.0:
+        return 0.0
+    n_templates = x.size - m
+
+    def phi(mm):
+        templates = sliding_window_view(x, mm)[:n_templates]
+        templates = templates - templates.mean(axis=1, keepdims=True)
+        mu = np.exp(-(_broadcast_chebyshev(templates) ** width) / r)
+        return (mu.sum() - n_templates) / (n_templates * (n_templates - 1))
+
+    return float(np.log(phi(m)) - np.log(phi(m + 1)))
 
 
 class TestWelch:
@@ -225,6 +282,27 @@ class TestEntropies:
     def test_too_short(self):
         with pytest.raises(ValueError, match="at least"):
             sample_entropy(np.zeros(3))
+        with pytest.raises(ValueError, match="at least 1"):
+            approximate_entropy(np.zeros(10), m=0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_bit_identical_to_broadcast_reference(self, m):
+        # rows as feature_matrix sees them: float32 samples widened to float64
+        rows = [row.astype(np.float64) for row in generate_synthetic(2, 10, 54).data[::10]]
+        # an integer-valued signal with r=1 puts many distances exactly on r
+        steps = np.round(3.0 * Rng(55).normal((384,)))
+        cases = [(row, None) for row in rows] + [(steps, 1.0)]
+        for x, r in cases:
+            np.testing.assert_array_equal(sample_entropy(x, m, r), sampen_broadcast(x, m, r))
+            np.testing.assert_array_equal(approximate_entropy(x, m, r),
+                                          apen_broadcast(x, m, r))
+            np.testing.assert_array_equal(fuzzy_entropy(x, m, r), fuzzyen_broadcast(x, m, r))
+        assert np.any(np.abs(steps[:, None] - steps[None, :]) == 1.0)
+        if m == 2:
+            for x, _ in cases:
+                reference = [sampen_broadcast(x), fuzzyen_broadcast(x), apen_broadcast(x),
+                             spectral_entropy(x)]
+                np.testing.assert_array_equal(four_entropies(x), reference)
 
     def test_four_entropies_vector(self):
         values = four_entropies(tone(10.0) + 0.1 * Rng(48).normal((384,)))
@@ -278,6 +356,25 @@ class TestClassifiers:
         model = fit_classifier("knn", x, y, k=1)
         # the query ties between training rows 0 and 1; row 0 wins
         assert predict_classifier(model, np.array([[0.0, 0.0]]))[0] == 1
+
+    def test_knn_matches_per_row_loop_with_ties(self):
+        # integer features on a small grid give many equal distances, and
+        # even k gives tied votes; both tie rules must match the loop
+        rng = Rng(56)
+        for k in (1, 2, 4, 5):
+            x = np.round(rng.normal((30, 3)))
+            y = np.array([0, 1] * 15)
+            q = np.round(rng.normal((25, 3)))
+            model = fit_classifier("knn", x, y, k=k)
+            f = model.fitted
+            z = (q - model.feat_mean) / model.feat_std
+            expected = []
+            for row in z:
+                dist = np.sqrt(((f["z"] - row) ** 2).sum(axis=1))
+                order = np.argsort(dist, kind="stable")[:k]
+                votes = int(f["y"][order].sum())
+                expected.append(1 if votes > k - votes else 0)
+            np.testing.assert_array_equal(predict_classifier(model, q), expected)
 
     def test_gnb_posterior_tie_gives_zero(self):
         x = np.array([[0.0], [2.0], [0.0], [2.0]])

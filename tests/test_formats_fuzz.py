@@ -132,3 +132,17 @@ def test_eegs_unsorted_events_are_format_error(valid):
     path.write_bytes(bytes(corrupt))
     with pytest.raises(FormatError, match="not sorted"):
         dataio.read_session(path)
+
+
+@pytest.mark.parametrize("attr, name, value", [
+    ("conv_w", "conv.w", float("nan")),
+    ("w_i", "lstm.W_i", float("inf")),
+    ("bn_run_var", "bn.run_var", float("nan")),
+])
+def test_eglm_non_finite_value_names_the_tensor(tmp_path, attr, name, value):
+    params = network.init_params(Rng(17), SMALL_NET)
+    getattr(params, attr).flat[0] = value
+    path = tmp_path / "x.eglm"
+    network.save_params(params, path)
+    with pytest.raises(FormatError, match=f"tensor '{name}' has non-finite values"):
+        READERS["eglm"](path)
