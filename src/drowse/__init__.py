@@ -1,7 +1,7 @@
 """Interpretable CNN-LSTM drowsiness recognition from single-channel EEG.
 
 Subpackages:
-    numerics   seeded RNG, softmax, DFT power, paired t-test
+    numerics   seeded RNG, softmax, sigmoid, DFT power, paired t-test
     dataio     dataset/session file formats, RT labeling, resampling, synthesis
     network    CNN-LSTM forward pass and hand-derived gradients
     training   Adam, epoch loop, leave-one-subject-out evaluation

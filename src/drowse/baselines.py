@@ -15,7 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataio import SAMPLE_POINTS, SAMPLE_RATE_HZ
-from .numerics import dft_power
+from .numerics import dft_power, sigmoid
 
 SEGMENT = 128
 BANDS = (("delta", 1.0, 4.0), ("theta", 4.0, 8.0),
@@ -242,15 +242,6 @@ class ClassifierModel:
     fitted: dict
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def _shrunk(cov: np.ndarray) -> np.ndarray:
     d = cov.shape[0]
     return cov + (SHRINKAGE * np.trace(cov) / d) * np.eye(d)
@@ -282,7 +273,7 @@ def fit_classifier(kind: str, features: np.ndarray, labels, k: int = KNN_K) -> C
         w = np.zeros(d)
         b = 0.0
         for _ in range(LR_ITERATIONS):
-            p = _sigmoid(z @ w + b)
+            p = sigmoid(z @ w + b)
             err = p - y
             w -= LR_STEP * (z.T @ err / n + 2.0 * LR_L2 * w)
             b -= LR_STEP * float(err.mean())

@@ -277,36 +277,6 @@ def resample_500_to_128(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _window_starts(session: SessionRecord, labels) -> list:
-    window = 3 * SESSION_RATE_HZ
-    kept = []
-    for i, lab in enumerate(labels):
-        if lab.verdict == EXCLUDED:
-            continue
-        end = int(round(session.events[i, 0] * session.rate))
-        if end - window < 0:
-            continue
-        kept.append((i, end - window, end))
-    return kept
-
-
-def extract_windows(session: SessionRecord, labels, subject_id: int = 0) -> list:
-    """Cut the 3 s window preceding each non-excluded event and resample it.
-
-    Events starting less than 3 s into the recording are skipped.
-    """
-    if session.rate != SESSION_RATE_HZ:
-        raise ValueError(f"expected a {SESSION_RATE_HZ} Hz session, got {session.rate}")
-    if len(labels) != session.events.shape[0]:
-        raise ValueError("one label per event required")
-    out = []
-    for i, start, end in _window_starts(session, labels):
-        resampled = resample_500_to_128(session.signal[start:end])
-        label = 0 if labels[i].verdict == ALERT else 1
-        out.append(EegSample(subject_id, label, resampled.astype(np.float32)))
-    return out
-
-
 # -- balancing ----------------------------------------------------------------
 
 @dataclass
@@ -330,10 +300,26 @@ class SessionSamples:
 
 def session_samples(session: SessionRecord, labels, subject_id: int,
                     session_id: int) -> SessionSamples:
-    """extract_windows plus the local RTs of the kept events."""
-    samples = extract_windows(session, labels, subject_id)
-    rts = np.array([labels[i].local_rt_s for i, _, _ in _window_starts(session, labels)])
-    return SessionSamples(subject_id, session_id, samples, rts)
+    """Cut the 3 s window preceding each non-excluded event, resample it,
+    and keep the event's local RT for balancing.
+
+    Events starting less than 3 s into the recording are skipped.
+    """
+    if session.rate != SESSION_RATE_HZ:
+        raise ValueError(f"expected a {SESSION_RATE_HZ} Hz session, got {session.rate}")
+    if len(labels) != session.events.shape[0]:
+        raise ValueError("one label per event required")
+    window = 3 * SESSION_RATE_HZ
+    samples, rts = [], []
+    for lab, event in zip(labels, session.events):
+        end = int(round(event[0] * session.rate))
+        if lab.verdict == EXCLUDED or end < window:
+            continue
+        resampled = resample_500_to_128(session.signal[end - window : end])
+        label = 0 if lab.verdict == ALERT else 1
+        samples.append(EegSample(subject_id, label, resampled.astype(np.float32)))
+        rts.append(lab.local_rt_s)
+    return SessionSamples(subject_id, session_id, samples, np.array(rts))
 
 
 def _trim_majority(sess: SessionSamples) -> list:

@@ -10,6 +10,12 @@ All gradients are analytic, derived for this fixed graph, including
 backpropagation through time over the LSTM and through the batch
 statistics of the normalization layer. Arrays are float64 in memory;
 model files store binary32.
+
+The LSTM's weights are kept stacked, one [4D, ...] tensor each for the
+input weights, the recurrent weights and the biases, with row blocks in
+gate order i, f, g, o, so every step is one gate matmul forward and
+backward. Model files keep one tensor per gate (lstm.W_i ... lstm.b_o);
+_TENSOR_ATTRS maps each to its row block.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .binio import FormatError, check_version, expect_magic, read_exact, read_u16, read_u32
-from .numerics import Rng, assert_finite, softmax_rows
+from .numerics import Rng, assert_finite, sigmoid, softmax_rows
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1  # new_running = (1 - m) * old + m * batch
@@ -49,37 +55,40 @@ class NetConfig:
         return self.n_samples // self.pool
 
 
-# Serialized tensor names, in canonical file order.
-_TENSOR_ATTRS: list[tuple[str, str]] = [
-    ("conv.w", "conv_w"),
-    ("conv.b", "conv_b"),
-    ("bn.gamma", "bn_gamma"),
-    ("bn.beta", "bn_beta"),
-    ("bn.run_mean", "bn_run_mean"),
-    ("bn.run_var", "bn_run_var"),
-    ("lstm.W_i", "w_i"),
-    ("lstm.W_f", "w_f"),
-    ("lstm.W_g", "w_g"),
-    ("lstm.W_o", "w_o"),
-    ("lstm.U_i", "u_i"),
-    ("lstm.U_f", "u_f"),
-    ("lstm.U_g", "u_g"),
-    ("lstm.U_o", "u_o"),
-    ("lstm.b_i", "b_i"),
-    ("lstm.b_f", "b_f"),
-    ("lstm.b_g", "b_g"),
-    ("lstm.b_o", "b_o"),
-]
+# Serialized tensor names, in canonical file order. Each maps to the
+# parameter attribute that holds it and, for the LSTM, its row block in
+# gate order i, f, g, o (None: the whole tensor).
+_TENSOR_ATTRS: dict[str, tuple[str, int | None]] = {
+    "conv.w": ("conv_w", None),
+    "conv.b": ("conv_b", None),
+    "bn.gamma": ("bn_gamma", None),
+    "bn.beta": ("bn_beta", None),
+    "bn.run_mean": ("bn_run_mean", None),
+    "bn.run_var": ("bn_run_var", None),
+    "lstm.W_i": ("lstm_w", 0),
+    "lstm.W_f": ("lstm_w", 1),
+    "lstm.W_g": ("lstm_w", 2),
+    "lstm.W_o": ("lstm_w", 3),
+    "lstm.U_i": ("lstm_u", 0),
+    "lstm.U_f": ("lstm_u", 1),
+    "lstm.U_g": ("lstm_u", 2),
+    "lstm.U_o": ("lstm_u", 3),
+    "lstm.b_i": ("lstm_b", 0),
+    "lstm.b_f": ("lstm_b", 1),
+    "lstm.b_g": ("lstm_b", 2),
+    "lstm.b_o": ("lstm_b", 3),
+}
 _BUFFER_ATTRS = ("bn_run_mean", "bn_run_var")
-LEARNABLE_ATTRS: tuple[str, ...] = tuple(
-    attr for _, attr in _TENSOR_ATTRS if attr not in _BUFFER_ATTRS
-)
 
 
 @dataclass
 class ModelParams:
     """All tensors of the model: learnable weights plus the batch-norm
-    running statistics (buffers, excluded from gradients)."""
+    running statistics (buffers, excluded from gradients).
+
+    The LSTM is stored stacked: each of ``lstm_w``, ``lstm_u`` and
+    ``lstm_b`` holds four row blocks of D rows in gate order input, forget,
+    cell candidate, output. Model files keep one tensor per gate block."""
 
     conv_w: np.ndarray  # [kernels, 1, kernel_len]
     conv_b: np.ndarray  # [kernels]
@@ -87,21 +96,13 @@ class ModelParams:
     bn_beta: np.ndarray
     bn_run_mean: np.ndarray
     bn_run_var: np.ndarray
-    w_i: np.ndarray  # [classes, kernels]
-    w_f: np.ndarray
-    w_g: np.ndarray
-    w_o: np.ndarray
-    u_i: np.ndarray  # [classes, classes]
-    u_f: np.ndarray
-    u_g: np.ndarray
-    u_o: np.ndarray
-    b_i: np.ndarray  # [classes]
-    b_f: np.ndarray
-    b_g: np.ndarray
-    b_o: np.ndarray
+    lstm_w: np.ndarray  # [4 * classes, kernels]
+    lstm_u: np.ndarray  # [4 * classes, classes]
+    lstm_b: np.ndarray  # [4 * classes]
 
     def learnable_items(self):
-        return [(attr, getattr(self, attr)) for attr in LEARNABLE_ATTRS]
+        return [(f.name, getattr(self, f.name)) for f in fields(self)
+                if f.name not in _BUFFER_ATTRS]
 
     def copy(self) -> "ModelParams":
         return ModelParams(**{f.name: getattr(self, f.name).copy() for f in fields(self)})
@@ -109,19 +110,17 @@ class ModelParams:
 
 def expected_shapes(config: NetConfig) -> dict[str, tuple[int, ...]]:
     k, length, d = config.kernels, config.kernel_len, config.n_classes
-    shapes: dict[str, tuple[int, ...]] = {
+    return {
         "conv_w": (k, 1, length),
         "conv_b": (k,),
         "bn_gamma": (k,),
         "bn_beta": (k,),
         "bn_run_mean": (k,),
         "bn_run_var": (k,),
+        "lstm_w": (4 * d, k),
+        "lstm_u": (4 * d, d),
+        "lstm_b": (4 * d,),
     }
-    for gate in "ifgo":
-        shapes[f"w_{gate}"] = (d, k)
-        shapes[f"u_{gate}"] = (d, d)
-        shapes[f"b_{gate}"] = (d,)
-    return shapes
 
 
 def _glorot(rng: Rng, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
@@ -135,8 +134,10 @@ def init_params(rng: Rng, config: NetConfig = NetConfig()) -> ModelParams:
     the generator's seed (fixed draw order)."""
     k, length, d = config.kernels, config.kernel_len, config.n_classes
     conv_w = _glorot(rng, (k, 1, length), fan_in=1 * length, fan_out=k * length)
-    gates_w = {g: _glorot(rng, (d, k), fan_in=k, fan_out=d) for g in "ifgo"}
-    gates_u = {g: _glorot(rng, (d, d), fan_in=d, fan_out=d) for g in "ifgo"}
+    lstm_w = _glorot(rng, (4 * d, k), fan_in=k, fan_out=d)
+    lstm_u = _glorot(rng, (4 * d, d), fan_in=d, fan_out=d)
+    lstm_b = np.zeros(4 * d)
+    lstm_b[d : 2 * d] = 1.0  # forget gate
     return ModelParams(
         conv_w=conv_w,
         conv_b=np.zeros(k),
@@ -144,18 +145,9 @@ def init_params(rng: Rng, config: NetConfig = NetConfig()) -> ModelParams:
         bn_beta=np.zeros(k),
         bn_run_mean=np.zeros(k),
         bn_run_var=np.ones(k),
-        w_i=gates_w["i"],
-        w_f=gates_w["f"],
-        w_g=gates_w["g"],
-        w_o=gates_w["o"],
-        u_i=gates_u["i"],
-        u_f=gates_u["f"],
-        u_g=gates_u["g"],
-        u_o=gates_u["o"],
-        b_i=np.zeros(d),
-        b_f=np.ones(d),
-        b_g=np.zeros(d),
-        b_o=np.zeros(d),
+        lstm_w=lstm_w,
+        lstm_u=lstm_u,
+        lstm_b=lstm_b,
     )
 
 
@@ -250,18 +242,10 @@ def _avgpool_backward(dout, pool):
     return np.repeat(dout / pool, pool, axis=2)
 
 
-def _sigmoid(x):
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
-
-
 @dataclass
 class LstmCache:
     xs: np.ndarray  # [B, T, K]
-    i: np.ndarray  # [T, B, D]
-    f: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
+    gates: np.ndarray  # [T, B, 4D] gate activations, blocks i, f, g, o
     c: np.ndarray  # cell states c_1..c_T
     tanh_c: np.ndarray
     h: np.ndarray  # [T+1, B, D], h[0] = 0
@@ -276,79 +260,62 @@ def lstm_forward(xs: np.ndarray, params: ModelParams) -> tuple[np.ndarray, LstmC
     """
     xs = np.asarray(xs, dtype=np.float64)
     batch, steps, _ = xs.shape
-    d = params.b_i.shape[0]
-    w_all = np.concatenate([params.w_i, params.w_f, params.w_g, params.w_o], axis=0)  # [4D, K]
-    u_all = np.concatenate([params.u_i, params.u_f, params.u_g, params.u_o], axis=0)  # [4D, D]
-    b_all = np.concatenate([params.b_i, params.b_f, params.b_g, params.b_o])
-    proj = xs.reshape(batch * steps, -1) @ w_all.T + b_all  # input part of all gates
+    d = params.lstm_u.shape[1]
+    proj = xs.reshape(batch * steps, -1) @ params.lstm_w.T + params.lstm_b  # input part of all gates
     proj = proj.reshape(batch, steps, 4 * d)
 
-    gates = {name: np.empty((steps, batch, d)) for name in "ifgo"}
+    gates = np.empty((steps, batch, 4 * d))
     c_seq = np.empty((steps, batch, d))
     tanh_c = np.empty((steps, batch, d))
     h_seq = np.zeros((steps + 1, batch, d))
     c = np.zeros((batch, d))
     for t in range(steps):
-        a = proj[:, t, :] + h_seq[t] @ u_all.T
-        ai, af, ag, ao = a[:, :d], a[:, d : 2 * d], a[:, 2 * d : 3 * d], a[:, 3 * d :]
-        i_t, f_t, o_t = _sigmoid(ai), _sigmoid(af), _sigmoid(ao)
-        g_t = np.tanh(ag)
+        a = proj[:, t, :] + h_seq[t] @ params.lstm_u.T
+        gates[t] = sigmoid(a)  # i, f and o; the g block is overwritten next
+        gates[t, :, 2 * d : 3 * d] = np.tanh(a[:, 2 * d : 3 * d])
+        i_t, f_t, g_t, o_t = np.split(gates[t], 4, axis=1)
         c = f_t * c + i_t * g_t
-        tc = np.tanh(c)
-        gates["i"][t], gates["f"][t], gates["g"][t], gates["o"][t] = i_t, f_t, g_t, o_t
         c_seq[t] = c
-        tanh_c[t] = tc
-        h_seq[t + 1] = o_t * tc
-    cache = LstmCache(
-        xs=xs, i=gates["i"], f=gates["f"], g=gates["g"], o=gates["o"],
-        c=c_seq, tanh_c=tanh_c, h=h_seq,
-    )
+        tanh_c[t] = np.tanh(c)
+        h_seq[t + 1] = o_t * tanh_c[t]
+    cache = LstmCache(xs=xs, gates=gates, c=c_seq, tanh_c=tanh_c, h=h_seq)
     return h_seq[1:], cache
 
 
 def _lstm_backward(dh_last: np.ndarray, cache: LstmCache, params: ModelParams):
+    # Backpropagation through time. Only the recurrence runs step by step;
+    # the parameter gradients and the input gradient are one matmul each
+    # over the pre-activation gradients of all T * B rows.
     xs = cache.xs
-    batch, steps, _ = xs.shape
+    batch, steps, k = xs.shape
     d = dh_last.shape[1]
-    grads = {
-        name: np.zeros_like(getattr(params, name))
-        for name in ("w_i", "w_f", "w_g", "w_o", "u_i", "u_f", "u_g", "u_o",
-                     "b_i", "b_f", "b_g", "b_o")
-    }
-    dxs = np.empty_like(xs)
+    i, f, g, o = np.split(cache.gates, 4, axis=2)  # [T, B, D] each
+    c_prev = np.zeros_like(cache.c)
+    c_prev[1:] = cache.c[:-1]
+    # Gradient of each gate's pre-activation per unit of the cell gradient
+    # (blocks i, f, g) or of the hidden-state gradient (block o).
+    local = np.empty((steps, batch, 4, d))
+    local[:, :, 0] = g * i * (1.0 - i)
+    local[:, :, 1] = c_prev * f * (1.0 - f)
+    local[:, :, 2] = i * (1.0 - g * g)
+    local[:, :, 3] = cache.tanh_c * o * (1.0 - o)
+    dh_dc = o * (1.0 - cache.tanh_c * cache.tanh_c)
+    da = np.empty_like(local)
     dh = dh_last
     dc = np.zeros((batch, d))
     for t in range(steps - 1, -1, -1):
-        i_t, f_t, g_t, o_t = cache.i[t], cache.f[t], cache.g[t], cache.o[t]
-        tc = cache.tanh_c[t]
-        c_prev = cache.c[t - 1] if t > 0 else np.zeros((batch, d))
-        h_prev = cache.h[t]
-        do = dh * tc
-        dc = dc + dh * o_t * (1.0 - tc * tc)
-        di = dc * g_t
-        dg = dc * i_t
-        df = dc * c_prev
-        dc_prev = dc * f_t
-        da = {
-            "i": di * i_t * (1.0 - i_t),
-            "f": df * f_t * (1.0 - f_t),
-            "g": dg * (1.0 - g_t * g_t),
-            "o": do * o_t * (1.0 - o_t),
-        }
-        x_t = xs[:, t, :]
-        dx_t = np.zeros_like(x_t)
-        dh_prev = np.zeros((batch, d))
-        for gate in "ifgo":
-            w = getattr(params, f"w_{gate}")
-            u = getattr(params, f"u_{gate}")
-            grads[f"w_{gate}"] += da[gate].T @ x_t
-            grads[f"u_{gate}"] += da[gate].T @ h_prev
-            grads[f"b_{gate}"] += da[gate].sum(axis=0)
-            dx_t += da[gate] @ w
-            dh_prev += da[gate] @ u
-        dxs[:, t, :] = dx_t
-        dh = dh_prev
-        dc = dc_prev
+        dc = dc + dh * dh_dc[t]
+        da[t, :, :3] = dc[:, None, :] * local[t, :, :3]
+        da[t, :, 3] = dh * local[t, :, 3]
+        dh = da[t].reshape(batch, 4 * d) @ params.lstm_u
+        dc = dc * f[t]
+    da = da.reshape(steps * batch, 4 * d)  # rows ordered (t, b)
+    grads = {
+        "lstm_w": da.T @ xs.transpose(1, 0, 2).reshape(steps * batch, k),
+        "lstm_u": da.T @ cache.h[:-1].reshape(steps * batch, d),
+        "lstm_b": da.sum(axis=0),
+    }
+    dxs = (da @ params.lstm_w).reshape(steps, batch, k).transpose(1, 0, 2)
     return dxs, grads
 
 
@@ -482,13 +449,18 @@ def model_gradients(
 _MODEL_MAGIC = b"EGLM"
 
 
+def _gate_rows(array: np.ndarray, block: int | None) -> np.ndarray:
+    """The view of a parameter array that one file tensor holds."""
+    return array if block is None else np.split(array, 4)[block]
+
+
 def save_params(params: ModelParams, path) -> None:
     """Write all tensors to a named-tensor model file (binary32 values)."""
     with open(path, "wb") as fh:
         fh.write(_MODEL_MAGIC)
         fh.write(struct.pack("<II", 1, len(_TENSOR_ATTRS)))
-        for name, attr in _TENSOR_ATTRS:
-            arr = np.asarray(getattr(params, attr), dtype=np.float32)
+        for name, (attr, block) in _TENSOR_ATTRS.items():
+            arr = np.asarray(_gate_rows(getattr(params, attr), block), dtype=np.float32)
             encoded = name.encode("ascii")
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)
@@ -499,11 +471,12 @@ def save_params(params: ModelParams, path) -> None:
 
 def load_params(path, config: NetConfig = NetConfig()) -> ModelParams:
     """Read a model file back; raises FormatError on bad magic or version,
-    unknown or missing tensor names, shape mismatches, non-finite values,
-    or truncation."""
-    known = {name.encode("ascii"): (name, attr) for name, attr in _TENSOR_ATTRS}
-    shapes = expected_shapes(config)
-    tensors: dict[str, np.ndarray] = {}
+    unknown, duplicate or missing tensor names, shape mismatches,
+    non-finite values, or truncation."""
+    known = {name.encode("ascii"): (name, attr, block)
+             for name, (attr, block) in _TENSOR_ATTRS.items()}
+    tensors = {attr: np.empty(shape) for attr, shape in expected_shapes(config).items()}
+    seen: set[str] = set()
     with open(path, "rb") as fh:
         expect_magic(fh, _MODEL_MAGIC)
         version = read_u32(fh, "version")
@@ -514,22 +487,24 @@ def load_params(path, config: NetConfig = NetConfig()) -> ModelParams:
             raw_name = read_exact(fh, name_len, "tensor name")
             if raw_name not in known:
                 raise FormatError(f"unknown tensor name {raw_name!r}")
-            name, attr = known[raw_name]
+            name, attr, block = known[raw_name]
+            target = _gate_rows(tensors[attr], block)
             rank = read_exact(fh, 1, "tensor rank")[0]
             dims = struct.unpack(f"<{rank}I", read_exact(fh, 4 * rank, "tensor dims"))
-            if tuple(dims) != shapes[attr]:
+            if tuple(dims) != target.shape:
                 raise FormatError(
-                    f"tensor {name!r} has shape {tuple(dims)}, expected {shapes[attr]}"
+                    f"tensor {name!r} has shape {tuple(dims)}, expected {target.shape}"
                 )
             n_vals = int(np.prod(dims)) if dims else 1
             raw = read_exact(fh, 4 * n_vals, f"values of {name!r}")
             arr = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(dims)
             if not np.all(np.isfinite(arr)):
                 raise FormatError(f"tensor {name!r} has non-finite values")
-            if attr in tensors:
+            if name in seen:
                 raise FormatError(f"duplicate tensor {name!r}")
-            tensors[attr] = arr
-    missing = [name for name, attr in _TENSOR_ATTRS if attr not in tensors]
+            seen.add(name)
+            target[...] = arr
+    missing = [name for name in _TENSOR_ATTRS if name not in seen]
     if missing:
         raise FormatError(f"missing tensors: {', '.join(missing)}")
     if np.any(tensors["bn_run_var"] <= 0.0):

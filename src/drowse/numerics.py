@@ -1,4 +1,4 @@
-"""Deterministic numeric substrate: seeded RNG, softmax, DFT power, t-test.
+"""Deterministic numeric substrate: seeded RNG, softmax, sigmoid, DFT power, t-test.
 
 Everything here is pure and reproducible: the generator is counter-based
 (no platform RNG), so identical seeds give identical streams on every
@@ -119,15 +119,11 @@ def assert_finite(x: np.ndarray, what: str) -> None:
         raise ValueError(f"non-finite values in {what}")
 
 
-def softmax(v: np.ndarray) -> np.ndarray:
-    """Softmax of a vector, computed with max-subtraction so large inputs
-    cannot overflow. Output entries lie in (0, 1) and sum to 1."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("softmax expects a non-empty vector")
-    assert_finite(v, "softmax input")
-    e = np.exp(v - v.max())
-    return e / e.sum()
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function, evaluated through exp(-|x|) so that no input
+    overflows; exact 0 and 1 at -inf and +inf."""
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
 def softmax_rows(v: np.ndarray) -> np.ndarray:

@@ -11,12 +11,12 @@ from drowse.dataio import (
     SessionRecord,
     SessionSamples,
     balance,
-    extract_windows,
     generate_synthetic,
     label_session,
     read_sampleset,
     read_session,
     resample_500_to_128,
+    session_samples,
     write_sampleset,
     write_session,
     _verdict,
@@ -163,7 +163,7 @@ class TestExtractWindows:
         session = self.ramp_session()
         labels = label_session(session)
         assert all(l.verdict == ALERT for l in labels)
-        out = extract_windows(session, labels, subject_id=7)
+        out = session_samples(session, labels, 7, 0).samples
         # the t=2 s event lacks 3 s of history and is skipped
         assert len(out) == 19
         first = out[0]
@@ -177,14 +177,14 @@ class TestExtractWindows:
         labels = label_session(session)
         for l in labels:
             l.verdict = EXCLUDED
-        assert extract_windows(session, labels) == []
+        assert session_samples(session, labels, 0, 0).samples == []
 
     def test_drowsy_label_mapping(self):
         session = self.ramp_session()
         labels = label_session(session)
         for l in labels:
             l.verdict = DROWSY
-        out = extract_windows(session, labels)
+        out = session_samples(session, labels, 0, 0).samples
         assert {s.label for s in out} == {1}
 
     def test_wrong_rate(self):
@@ -192,7 +192,7 @@ class TestExtractWindows:
         labels = label_session(session)
         session128 = SessionRecord(128, np.zeros(128 * 200), session.events)
         with pytest.raises(ValueError, match="500"):
-            extract_windows(session128, labels)
+            session_samples(session128, labels, 0, 0)
 
 
 def session_of(subject, session_id, alert_rts, drowsy_rts):

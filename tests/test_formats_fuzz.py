@@ -136,7 +136,7 @@ def test_eegs_unsorted_events_are_format_error(valid):
 
 @pytest.mark.parametrize("attr, name, value", [
     ("conv_w", "conv.w", float("nan")),
-    ("w_i", "lstm.W_i", float("inf")),
+    ("lstm_w", "lstm.W_i", float("inf")),
     ("bn_run_var", "bn.run_var", float("nan")),
 ])
 def test_eglm_non_finite_value_names_the_tensor(tmp_path, attr, name, value):

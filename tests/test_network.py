@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ class TestInit:
 
     def test_bias_init(self):
         p = init_params(Rng(1))
-        np.testing.assert_array_equal(p.b_f, [1.0, 1.0])
+        np.testing.assert_array_equal(p.lstm_b[2:4], [1.0, 1.0])
         np.testing.assert_array_equal(p.conv_b, np.zeros(32))
         np.testing.assert_array_equal(p.bn_gamma, np.ones(32))
         np.testing.assert_array_equal(p.bn_run_var, np.ones(32))
@@ -171,22 +172,18 @@ class TestAvgPool:
 
 
 def scalar_params():
-    z1 = np.zeros((1, 1))
     z = np.zeros(1)
     return ModelParams(
         conv_w=np.zeros((1, 1, 1)), conv_b=z.copy(),
         bn_gamma=np.ones(1), bn_beta=z.copy(), bn_run_mean=z.copy(), bn_run_var=np.ones(1),
-        w_i=np.ones((1, 1)), w_f=np.ones((1, 1)), w_g=np.ones((1, 1)), w_o=np.ones((1, 1)),
-        u_i=z1.copy(), u_f=z1.copy(), u_g=z1.copy(), u_o=z1.copy(),
-        b_i=z.copy(), b_f=z.copy(), b_g=z.copy(), b_o=z.copy(),
+        lstm_w=np.ones((4, 1)), lstm_u=np.zeros((4, 1)), lstm_b=np.zeros(4),
     )
 
 
 class TestLstm:
     def test_all_zero_weights_give_zero_hidden(self):
         p = init_params(Rng(1))
-        for name in ("w_i", "w_f", "w_g", "w_o", "u_i", "u_f", "u_g", "u_o",
-                     "b_i", "b_f", "b_g", "b_o"):
+        for name in ("lstm_w", "lstm_u", "lstm_b"):
             getattr(p, name)[:] = 0.0
         xs = Rng(2).normal((3, 48, 32))
         h, _ = lstm_forward(xs, p)
@@ -229,8 +226,7 @@ class TestModelForward:
 
     def test_zero_lstm_params_give_coin_flip(self):
         p = init_params(Rng(11))
-        for name in ("w_i", "w_f", "w_g", "w_o", "u_i", "u_f", "u_g", "u_o",
-                     "b_i", "b_f", "b_g", "b_o"):
+        for name in ("lstm_w", "lstm_u", "lstm_b"):
             getattr(p, name)[:] = 0.0
         probs, _ = model_forward(Rng(15).normal((4, 1, 384)), p, "train")
         np.testing.assert_allclose(probs, 0.5, atol=1e-12)
@@ -344,6 +340,40 @@ class TestModelFile:
         with pytest.raises(FormatError, match="truncated"):
             load_params(path)
 
+    def test_gate_blocks_map_to_their_file_tensors(self, tmp_path):
+        # Save and load could swap gate blocks consistently and still round
+        # trip, so the file is parsed here by a reader of its own.
+        p = init_params(Rng(35))
+        for block in range(4):
+            rows = slice(2 * block, 2 * block + 2)
+            p.lstm_w[rows] = 1.0 + block
+            p.lstm_u[rows] = 10.0 + block
+            p.lstm_b[rows] = 100.0 + block
+        path = tmp_path / "m.eglm"
+        save_params(p, path)
+        tensors = read_eglm(path)
+        gate_names = [f"lstm.{kind}_{gate}" for kind in "WUb" for gate in "ifgo"]
+        assert list(tensors) == ["conv.w", "conv.b", "bn.gamma", "bn.beta",
+                                 "bn.run_mean", "bn.run_var"] + gate_names
+        for block, gate in enumerate("ifgo"):
+            np.testing.assert_array_equal(tensors[f"lstm.W_{gate}"], np.full((2, 32), 1.0 + block))
+            np.testing.assert_array_equal(tensors[f"lstm.U_{gate}"], np.full((2, 2), 10.0 + block))
+            np.testing.assert_array_equal(tensors[f"lstm.b_{gate}"], np.full(2, 100.0 + block))
+        q = load_params(path)
+        for name in ("lstm_w", "lstm_u", "lstm_b"):
+            np.testing.assert_array_equal(getattr(q, name), getattr(p, name), err_msg=name)
+
+    def test_duplicate_tensor(self, tmp_path):
+        p = init_params(Rng(36))
+        path = tmp_path / "m.eglm"
+        save_params(p, path)
+        raw = path.read_bytes()
+        start, end = raw.index(b"lstm.W_i") - 2, raw.index(b"lstm.W_f") - 2
+        doubled = raw[:8] + (19).to_bytes(4, "little") + raw[12:end] + raw[start:end] + raw[end:]
+        path.write_bytes(doubled)
+        with pytest.raises(FormatError, match="duplicate tensor 'lstm.W_i'"):
+            load_params(path)
+
     def test_unknown_tensor(self, tmp_path):
         path = tmp_path / "m.eglm"
         name = b"conv.bogus"
@@ -354,6 +384,25 @@ class TestModelFile:
 
 
 def struct_pack_tensor(name: bytes) -> bytes:
-    import struct
-
     return struct.pack("<H", len(name)) + name + struct.pack("<B", 1) + struct.pack("<I", 1) + b"\x00" * 4
+
+
+def read_eglm(path) -> dict:
+    """Tensor name -> float32 array, in file order, parsed from the bytes."""
+    raw = path.read_bytes()
+    assert raw[:4] == b"EGLM"
+    version, count = struct.unpack_from("<II", raw, 4)
+    assert version == 1
+    pos, tensors = 12, {}
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<H", raw, pos)
+        name = raw[pos + 2 : pos + 2 + name_len].decode("ascii")
+        pos += 2 + name_len
+        rank = raw[pos]
+        dims = struct.unpack_from(f"<{rank}I", raw, pos + 1)
+        pos += 1 + 4 * rank
+        size = int(np.prod(dims))
+        tensors[name] = np.frombuffer(raw, "<f4", size, pos).reshape(dims)
+        pos += 4 * size
+    assert pos == len(raw)
+    return tensors

@@ -10,7 +10,7 @@ from drowse.numerics import (
     dft_power,
     normalize_mean_std,
     paired_t_test,
-    softmax,
+    sigmoid,
     softmax_rows,
     student_t_sf2,
 )
@@ -32,23 +32,29 @@ def student_t_p_oracle(t, df, steps=200_000):
     return 1.0 - 2.0 * integral
 
 
+def softmax_reference(v):
+    """Softmax of one vector with the max subtracted first."""
+    e = np.exp(v - v.max())
+    return e / e.sum()
+
+
 class TestSoftmax:
     def test_symmetry(self):
-        np.testing.assert_allclose(softmax([0.0, 0.0]), [0.5, 0.5], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(softmax_rows([[0.0, 0.0]]), [[0.5, 0.5]], rtol=0, atol=1e-15)
 
     def test_analytic(self):
-        np.testing.assert_allclose(softmax([math.log(3.0), 0.0]), [0.75, 0.25], atol=1e-15)
+        np.testing.assert_allclose(softmax_rows([[math.log(3.0), 0.0]]), [[0.75, 0.25]], atol=1e-15)
 
     def test_no_overflow(self):
-        p = softmax([1000.0, 0.0])
+        p = softmax_rows([[1000.0, 0.0]])[0]
         assert np.all(np.isfinite(p))
         assert p[0] > 1.0 - 1e-12 and p[1] < 1e-12
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
-            softmax([np.nan, 0.0])
+            softmax_rows([[np.nan, 0.0]])
         with pytest.raises(ValueError):
-            softmax([np.inf, 0.0])
+            softmax_rows([[np.inf, 0.0]])
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -56,16 +62,26 @@ class TestSoftmax:
         st.floats(-100, 100),
     )
     def test_shift_invariance(self, vals, c):
-        v = np.array(vals)
-        np.testing.assert_allclose(softmax(v + c), softmax(v), rtol=0, atol=1e-12)
-        assert abs(softmax(v).sum() - 1.0) < 1e-12
+        v = np.array([vals])
+        np.testing.assert_allclose(softmax_rows(v + c), softmax_rows(v), rtol=0, atol=1e-12)
+        assert abs(softmax_rows(v).sum() - 1.0) < 1e-12
 
     def test_rows_matches_vector(self):
         rng = Rng(3)
         m = rng.normal((5, 4))
         rows = softmax_rows(m)
         for i in range(5):
-            np.testing.assert_allclose(rows[i], softmax(m[i]), atol=1e-15)
+            np.testing.assert_allclose(rows[i], softmax_reference(m[i]), atol=1e-15)
+
+
+class TestSigmoid:
+    def test_extremes_without_overflow(self):
+        x = np.array([-np.inf, -710.0, -1.0, 0.0, 1.0, 710.0, np.inf])
+        with np.errstate(over="raise"):
+            s = sigmoid(x)
+            np.testing.assert_allclose(s + sigmoid(-x), 1.0, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(s[[0, 3, 6]], [0.0, 0.5, 1.0])
+        assert s[2] == pytest.approx(1.0 / (1.0 + math.exp(1.0)), abs=1e-15)
 
 
 class TestDftPower:

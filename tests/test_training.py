@@ -24,8 +24,7 @@ SMALL_NET = NetConfig(kernels=8, kernel_len=16, n_samples=384, pool=8)
 
 def zeroed_lstm(config=None):
     p = init_params(Rng(4), config or NetConfig())
-    for name in ("w_i", "w_f", "w_g", "w_o", "u_i", "u_f", "u_g", "u_o",
-                 "b_i", "b_f", "b_g", "b_o"):
+    for name in ("lstm_w", "lstm_u", "lstm_b"):
         getattr(p, name)[:] = 0.0
     return p
 
