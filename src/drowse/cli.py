@@ -98,17 +98,27 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    data = dataio.generate_synthetic(args.subjects, args.per_class, args.seed)
+    try:
+        data = dataio.generate_synthetic(args.subjects, args.per_class, args.seed)
+    except ValueError as exc:  # only its size checks raise
+        raise UsageError(str(exc)) from None
     dataio.write_sampleset(data, args.out)
     print(f"wrote {len(data)} samples ({args.subjects} subjects, "
           f"{args.per_class} per class) to {args.out}")
     return 0
 
 
+def _train_config(args, **extra) -> training.TrainConfig:
+    try:
+        return training.TrainConfig(batch_size=args.batch, max_epochs=args.epochs,
+                                    seed=args.seed, **extra)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def cmd_train(args) -> int:
+    config = _train_config(args)
     data = dataio.read_sampleset(args.data)
-    config = training.TrainConfig(batch_size=args.batch, max_epochs=args.epochs,
-                                  seed=args.seed)
     base = Rng(config.seed)
     params = network.init_params(base.split("init"))
 
@@ -123,10 +133,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_loso(args) -> int:
-    data = dataio.read_sampleset(args.data)
-    config = training.TrainConfig(batch_size=args.batch, max_epochs=args.epochs,
-                                  repeats=args.repeats, seed=args.seed)
+    config = _train_config(args, repeats=args.repeats)
     threads = _resolve_threads(args.threads)
+    data = dataio.read_sampleset(args.data)
     report = training.run_loso(data, config, threads=threads)
     os.makedirs(args.out, exist_ok=True)
     detail_path = os.path.join(args.out, "loso_detail.csv")

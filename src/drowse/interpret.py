@@ -98,27 +98,6 @@ def emit_heatmap(pair: HeatmapPair, sample, path_csv, path_svg=None) -> None:
             fh.write(render_svg(pair, signal))
 
 
-def read_heatmap_csv(path) -> dict:
-    """Parse an emitted heatmap CSV back into arrays and metadata."""
-    meta = {}
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("#"):
-                key, value = line[1:].split("=", 1)
-                meta[key.strip()] = float(value)
-            elif line and not line.startswith("index,"):
-                rows.append([float(v) for v in line.split(",")])
-    table = np.asarray(rows)
-    return {
-        "meta": meta,
-        "signal": table[:, 1],
-        "m_rel": table[:, 2],
-        "m_acc": table[:, 3],
-    }
-
-
 def _diverging_color(value: float) -> str:
     """Symmetric blue-white-red scale, clipped at +-3."""
     t = float(np.clip(value / 3.0, -1.0, 1.0))

@@ -11,6 +11,13 @@ backpropagation through time over the LSTM and through the batch
 statistics of the normalization layer. Arrays are float64 in memory;
 model files store binary32.
 
+batchnorm_eval serves both modes: it standardizes with the statistics it
+is given, running ones in eval mode and batch ones in train mode. The
+backward passes reuse what the forward holds. For x <= 0 the ELU slope is
+exp(x) = elu(x) + 1, so it needs no second exp. In batch norm, with
+dxhat = gamma * dout, sum(dxhat) = gamma * dbeta and sum(dxhat * xhat) =
+gamma * dgamma, so dx = gamma * inv_std * (dout - (dbeta + xhat * dgamma) / N).
+
 The LSTM's weights are kept stacked, one [4D, ...] tensor each for the
 input weights, the recurrent weights and the biases, with row blocks in
 gate order i, f, g, o, so every step is one gate matmul forward and
@@ -181,10 +188,11 @@ def _conv_backward(dout, windows):
     return dw2[:, None, :], dout.sum(axis=(0, 2))
 
 
-def batchnorm_eval(x, gamma, beta, run_mean, run_var):
-    """Per-channel standardization using stored running statistics."""
-    inv = 1.0 / np.sqrt(run_var + BN_EPS)
-    return gamma[None, :, None] * (x - run_mean[None, :, None]) * inv[None, :, None] + beta[
+def batchnorm_eval(x, gamma, beta, mean, var):
+    """Per-channel standardization with the statistics it is given: the
+    running statistics in eval mode, the batch statistics in train mode."""
+    inv = 1.0 / np.sqrt(var + BN_EPS)
+    return gamma[None, :, None] * (x - mean[None, :, None]) * inv[None, :, None] + beta[
         None, :, None
     ]
 
@@ -194,10 +202,7 @@ def _batchnorm_train(x, gamma, beta):
         raise ValueError("batch norm in train mode needs a batch of at least 2")
     mean = x.mean(axis=(0, 2))
     var = x.var(axis=(0, 2))  # population variance over batch x time
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
-    out = gamma[None, :, None] * xhat + beta[None, :, None]
-    return out, xhat, mean, var, inv_std
+    return batchnorm_eval(x, gamma, beta, mean, var), mean, var
 
 
 def updated_running_stats(params: ModelParams, batch_mean, batch_var):
@@ -206,16 +211,13 @@ def updated_running_stats(params: ModelParams, batch_mean, batch_var):
     return new_mean, new_var
 
 
-def _batchnorm_backward(dout, xhat, inv_std, gamma):
-    n_stat = dout.shape[0] * dout.shape[2]
+def _batchnorm_backward(dout, x, mean, var, gamma):
+    inv_std = 1.0 / np.sqrt(var[None, :, None] + BN_EPS)
+    xhat = (x - mean[None, :, None]) * inv_std
     dgamma = np.sum(dout * xhat, axis=(0, 2))
     dbeta = np.sum(dout, axis=(0, 2))
-    dxhat = dout * gamma[None, :, None]
-    sum_dxhat = dxhat.sum(axis=(0, 2), keepdims=True)
-    sum_dxhat_xhat = np.sum(dxhat * xhat, axis=(0, 2), keepdims=True)
-    dx = (inv_std[None, :, None] / n_stat) * (
-        n_stat * dxhat - sum_dxhat - xhat * sum_dxhat_xhat
-    )
+    n_stat = dout.shape[0] * dout.shape[2]
+    dx = gamma[None, :, None] * inv_std * (dout - (dbeta[:, None] + xhat * dgamma[:, None]) / n_stat)
     return dx, dgamma, dbeta
 
 
@@ -225,8 +227,8 @@ def elu(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, x, np.expm1(x))
 
 
-def _elu_backward(dout, x):
-    return dout * np.where(x > 0.0, 1.0, np.exp(np.minimum(x, 0.0)))
+def _elu_backward(dout, elu_out):
+    return dout * (np.minimum(elu_out, 0.0) + 1.0)
 
 
 def avgpool(x: np.ndarray, pool: int) -> np.ndarray:
@@ -326,10 +328,8 @@ class ForwardTrace:
     conv_windows: np.ndarray  # [B, n, L]
     conv_out: np.ndarray  # [B, K, n]
     bn_out: np.ndarray
-    bn_xhat: np.ndarray | None
     bn_mean: np.ndarray | None  # batch statistics (train mode only)
     bn_var: np.ndarray | None
-    bn_inv_std: np.ndarray | None
     elu_out: np.ndarray
     pool_out: np.ndarray  # [B, K, T]
     lstm_cache: LstmCache
@@ -359,14 +359,12 @@ def model_forward(
     windows = _conv_windows(x[:, 0, :], config.kernel_len)
     conv_out = _conv_apply(windows, params.conv_w, params.conv_b)
     if mode == "train":
-        bn_out, xhat, mean, var, inv_std = _batchnorm_train(
-            conv_out, params.bn_gamma, params.bn_beta
-        )
+        bn_out, mean, var = _batchnorm_train(conv_out, params.bn_gamma, params.bn_beta)
     elif mode == "eval":
         bn_out = batchnorm_eval(
             conv_out, params.bn_gamma, params.bn_beta, params.bn_run_mean, params.bn_run_var
         )
-        xhat = mean = var = inv_std = None
+        mean = var = None
     else:
         raise ValueError(f"unknown mode {mode!r}")
     elu_out = elu(bn_out)
@@ -378,10 +376,8 @@ def model_forward(
         conv_windows=windows,
         conv_out=conv_out,
         bn_out=bn_out,
-        bn_xhat=xhat,
         bn_mean=mean,
         bn_var=var,
-        bn_inv_std=inv_std,
         elu_out=elu_out,
         pool_out=pool_out,
         lstm_cache=lstm_cache,
@@ -429,9 +425,9 @@ def model_gradients(
     dxs, lstm_grads = _lstm_backward(dh_last, trace.lstm_cache, params)
     dpool = dxs.transpose(0, 2, 1)  # [B, K, T]
     delu_out = _avgpool_backward(dpool, config.pool)
-    dbn_out = _elu_backward(delu_out, trace.bn_out)
+    dbn_out = _elu_backward(delu_out, trace.elu_out)
     dconv, dgamma, dbeta = _batchnorm_backward(
-        dbn_out, trace.bn_xhat, trace.bn_inv_std, params.bn_gamma
+        dbn_out, trace.conv_out, trace.bn_mean, trace.bn_var, params.bn_gamma
     )
     dw, db = _conv_backward(dconv, trace.conv_windows)
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from drowse import cli, dataio
-from drowse.interpret import read_heatmap_csv
+
+from test_interpret import read_heatmap_csv
 
 
 def run(*argv):
@@ -66,6 +67,29 @@ class TestParsing:
                       "--clf", "lda", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ("train", "--epochs", "0"),
+        ("train", "--epochs", "51"),
+        ("train", "--batch", "1"),
+        ("loso", "--epochs", "0"),
+        ("loso", "--epochs", "51"),
+        ("loso", "--batch", "1"),
+        ("loso", "--repeats", "0"),
+        ("synth", "--subjects", "1"),
+        ("synth", "--per-class", "3"),
+    ], ids=" ".join)
+    def test_bad_size_flag_is_usage_error(self, tmp_path, capsys, argv):
+        # the data file does not exist: the flag must be rejected before any read
+        paths = {"train": ["--data", str(tmp_path / "missing.eegd"),
+                           "--model", str(tmp_path / "m.eglm")],
+                 "loso": ["--data", str(tmp_path / "missing.eegd"),
+                          "--out", str(tmp_path / "rep")],
+                 "synth": ["--out", str(tmp_path / "s.eegd")]}
+        code = run(argv[0], *paths[argv[0]], *argv[1:])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSynth:

@@ -12,7 +12,6 @@ from drowse.interpret import (
     emit_heatmap,
     explain_sample,
     hidden_likelihoods,
-    read_heatmap_csv,
     relative_heatmap,
     render_svg,
 )
@@ -21,6 +20,27 @@ from drowse.numerics import Rng
 from drowse.training import TrainConfig, train
 
 SMALL_NET = NetConfig(kernels=8, kernel_len=16, n_samples=384, pool=8)
+
+
+def read_heatmap_csv(path) -> dict:
+    """Parse an emitted heatmap CSV back into arrays and metadata."""
+    meta = {}
+    rows = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if line.startswith("#"):
+                key, value = line[1:].split("=", 1)
+                meta[key.strip()] = float(value)
+            elif line and not line.startswith("index,"):
+                rows.append([float(v) for v in line.split(",")])
+    table = np.asarray(rows)
+    return {
+        "meta": meta,
+        "signal": table[:, 1],
+        "m_rel": table[:, 2],
+        "m_acc": table[:, 3],
+    }
 
 
 def random_sample(seed, subject=1, label=1):

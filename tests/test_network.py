@@ -6,6 +6,7 @@ import pytest
 
 from drowse.binio import FormatError
 from drowse.network import (
+    BN_EPS,
     NetConfig,
     ModelParams,
     avgpool,
@@ -19,9 +20,11 @@ from drowse.network import (
     model_gradients,
     save_params,
     updated_running_stats,
+    _batchnorm_backward,
     _batchnorm_train,
     _conv_apply,
     _conv_windows,
+    _elu_backward,
 )
 from drowse.numerics import Rng
 
@@ -144,14 +147,69 @@ class TestElu:
         assert elu(np.array([-1.0]))[0] == pytest.approx(math.exp(-1.0) - 1.0, abs=1e-12)
 
     def test_derivative_matches_finite_difference(self):
-        from drowse.network import _elu_backward
-
         h = 1e-6
         for x0 in (0.5, -0.5):
             x = np.array([x0])
             numeric = (elu(x + h) - elu(x - h)) / (2 * h)
-            analytic = _elu_backward(np.ones(1), x)
+            analytic = _elu_backward(np.ones(1), elu(x))
             np.testing.assert_allclose(analytic, numeric, atol=1e-8)
+
+
+def reference_elu_backward(dout, x):
+    """ELU gradient from the pre-activation, with a second exp."""
+    return dout * np.where(x > 0.0, 1.0, np.exp(np.minimum(x, 0.0)))
+
+
+def reference_batchnorm_backward(dout, xhat, inv_std, gamma):
+    """Batch-norm gradient through dxhat and its two reductions."""
+    n_stat = dout.shape[0] * dout.shape[2]
+    dgamma = np.sum(dout * xhat, axis=(0, 2))
+    dbeta = np.sum(dout, axis=(0, 2))
+    dxhat = dout * gamma[None, :, None]
+    sum_dxhat = dxhat.sum(axis=(0, 2), keepdims=True)
+    sum_dxhat_xhat = np.sum(dxhat * xhat, axis=(0, 2), keepdims=True)
+    dx = (inv_std[None, :, None] / n_stat) * (
+        n_stat * dxhat - sum_dxhat - xhat * sum_dxhat_xhat
+    )
+    return dx, dgamma, dbeta
+
+
+def assert_close_normwise(actual, desired):
+    # Scaled by the largest magnitude: at x = -30 the ELU slope is 9e-14,
+    # and elu(x) + 1 carries the rounding of a number near -1.
+    assert np.max(np.abs(actual - desired)) <= 1e-12 * np.max(np.abs(desired))
+
+
+class TestBackwardMatchesReference:
+    """The backward passes built from forward outputs agree with the
+    textbook forms on [B, K, n] inputs with edge cases planted."""
+
+    def inputs(self, seed):
+        rng = Rng(seed)
+        x = rng.normal((6, 5, 40), mean=0.5, std=3.0)
+        x[0, 0, :4] = 0.0
+        x[1, 1, :4] = -30.0
+        x[:, 3, :] = 0.1  # a constant channel
+        gamma = rng.normal((5,))
+        gamma[2] = 0.0
+        return x, gamma, rng.normal((6, 5, 40)), rng.normal((5,))
+
+    def test_elu_backward(self):
+        for seed in range(3):
+            x, _, dout, _ = self.inputs(seed)
+            assert_close_normwise(_elu_backward(dout, elu(x)), reference_elu_backward(dout, x))
+
+    def test_batchnorm_backward(self):
+        for seed in range(3):
+            x, gamma, dout, beta = self.inputs(seed)
+            _, mean, var = _batchnorm_train(x, gamma, beta)
+            inv_std = 1.0 / np.sqrt(var + BN_EPS)
+            xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
+            got = _batchnorm_backward(dout, x, mean, var, gamma)
+            want = reference_batchnorm_backward(dout, xhat, inv_std, gamma)
+            for g, w in zip(got, want):
+                assert_close_normwise(g, w)
+            np.testing.assert_array_equal(got[0][:, 2, :], 0.0)  # gamma = 0
 
 
 class TestAvgPool:

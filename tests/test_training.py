@@ -233,6 +233,23 @@ class TestLoso:
             run_loso(data, TrainConfig(max_epochs=1, repeats=1))
 
 
+class TestLearningGuard:
+    def test_subject_shifted_loso_accuracy_floor(self):
+        # Clean synthetic data saturates within two epochs and hides a loss
+        # of learning. A per-subject gain in [0.7, 1.3] plus 2 uV white
+        # noise holds this run's final-epoch mean accuracy at 211/240 =
+        # 0.879. The floor sits 0.05 (12 of the 240 test predictions)
+        # below that, about the swing between neighbouring epochs.
+        base = generate_synthetic(4, 30, 1)
+        rng = Rng(1).split("shift")
+        gains = rng.uniform((4,), 0.7, 1.3)
+        shifted = base.data * gains[base.subjects - 1][:, None]
+        data = SampleSet(shifted + rng.normal(base.data.shape, std=2.0),
+                         base.labels, base.subjects)
+        report = run_loso(data, TrainConfig(max_epochs=6, repeats=1, seed=1), threads=1)
+        assert report.mean_curve()[-1] >= 0.879 - 0.05
+
+
 class TestPairedComparison:
     # per-subject accuracy vectors go straight to numerics.paired_t_test
     def test_identical_accuracies_degenerate(self):
