@@ -18,6 +18,17 @@ exp(x) = elu(x) + 1, so it needs no second exp. In batch norm, with
 dxhat = gamma * dout, sum(dxhat) = gamma * dbeta and sum(dxhat * xhat) =
 gamma * dgamma, so dx = gamma * inv_std * (dout - (dbeta + xhat * dgamma) / N).
 
+The conv -> batch norm -> ELU -> pool block keeps its activations
+channels-last, [B, n, K], the layout the conv matmul writes: batch
+statistics reduce over axes (0, 1), each layer fills one buffer per call
+in place, pooling is a mean over the pool axis of a [B, T, pool, K]
+reshape that is already the LSTM's [B, T, K] input, and the backward
+broadcasts each window's gradient over that axis instead of repeating it.
+The trace exposes [B, K, n] and [B, K, T] transposed views of these
+buffers, the layout the public batchnorm_eval, elu and avgpool take. The
+conv bias gets an exact zero gradient: batch norm subtracts each
+channel's batch mean, which absorbs it.
+
 The LSTM's weights are kept stacked, one [4D, ...] tensor each for the
 input weights, the recurrent weights and the biases, with row blocks in
 gate order i, f, g, o, so every step is one gate matmul forward and
@@ -172,37 +183,47 @@ def _conv_windows(x2: np.ndarray, kernel_len: int) -> np.ndarray:
 
 
 def _conv_apply(windows: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Correlate [B, n, L] windows with kernels [K, 1, L], add bias -> [B, K, n].
+    # Correlate [B, n, L] windows with kernels [K, 1, L], add bias -> [B, n, K].
     batch, n, length = windows.shape
-    w2 = w[:, 0, :]  # [K, L]
-    out = windows.reshape(batch * n, length) @ w2.T + b
-    return out.reshape(batch, n, w2.shape[0]).transpose(0, 2, 1)
+    out = windows.reshape(batch * n, length) @ w[:, 0, :].T
+    out += b
+    return out.reshape(batch, n, -1)
 
 
 def _conv_backward(dout, windows):
-    # Kernel and bias gradients only: the input is the data, so no gradient
-    # flows further back.
-    batch, k, n = dout.shape
-    dout_flat = dout.transpose(1, 0, 2).reshape(k, batch * n)
-    dw2 = dout_flat @ windows.reshape(batch * n, windows.shape[2])
-    return dw2[:, None, :], dout.sum(axis=(0, 2))
+    # Kernel gradient only: the input is the data, so no gradient flows
+    # further back, and the bias has none (see model_gradients).
+    batch, n, k = dout.shape
+    dw2 = dout.reshape(batch * n, k).T @ windows.reshape(batch * n, windows.shape[2])
+    return dw2[:, None, :]
+
+
+def _batchnorm(centered, gamma, beta, var):
+    # In place on channels-last x - mean: gamma * (x - mean) * inv_std + beta.
+    centered *= gamma
+    centered *= 1.0 / np.sqrt(var + BN_EPS)
+    centered += beta
+    return centered
 
 
 def batchnorm_eval(x, gamma, beta, mean, var):
-    """Per-channel standardization with the statistics it is given: the
-    running statistics in eval mode, the batch statistics in train mode."""
-    inv = 1.0 / np.sqrt(var + BN_EPS)
-    return gamma[None, :, None] * (x - mean[None, :, None]) * inv[None, :, None] + beta[
-        None, :, None
-    ]
+    """Per-channel standardization of a [B, K, n] activation with the
+    statistics it is given: the running statistics in eval mode, the batch
+    statistics in train mode."""
+    x = np.asarray(x, dtype=np.float64).transpose(0, 2, 1)
+    return _batchnorm(np.subtract(x, mean), gamma, beta, var).transpose(0, 2, 1)
 
 
 def _batchnorm_train(x, gamma, beta):
+    # x: channels-last [B, n, K].
     if x.shape[0] < 2:
         raise ValueError("batch norm in train mode needs a batch of at least 2")
-    mean = x.mean(axis=(0, 2))
-    var = x.var(axis=(0, 2))  # population variance over batch x time
-    return batchnorm_eval(x, gamma, beta, mean, var), mean, var
+    mean = x.mean(axis=(0, 1))
+    centered = np.subtract(x, mean)
+    # Population variance over batch x time, by np.var's own steps (so with
+    # its bits) on the x - mean buffer that the output is then built in.
+    var = np.square(centered).sum(axis=(0, 1)) / (x.shape[0] * x.shape[1])
+    return _batchnorm(centered, gamma, beta, var), mean, var
 
 
 def updated_running_stats(params: ModelParams, batch_mean, batch_var):
@@ -212,23 +233,42 @@ def updated_running_stats(params: ModelParams, batch_mean, batch_var):
 
 
 def _batchnorm_backward(dout, x, mean, var, gamma):
-    inv_std = 1.0 / np.sqrt(var[None, :, None] + BN_EPS)
-    xhat = (x - mean[None, :, None]) * inv_std
-    dgamma = np.sum(dout * xhat, axis=(0, 2))
-    dbeta = np.sum(dout, axis=(0, 2))
-    n_stat = dout.shape[0] * dout.shape[2]
-    dx = gamma[None, :, None] * inv_std * (dout - (dbeta[:, None] + xhat * dgamma[:, None]) / n_stat)
-    return dx, dgamma, dbeta
+    # Channels-last [B, n, K]; dx is built in place in the xhat buffer.
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    xhat = np.subtract(x, mean)
+    xhat *= inv_std
+    dgamma = np.sum(dout * xhat, axis=(0, 1))
+    dbeta = np.sum(dout, axis=(0, 1))
+    xhat *= dgamma
+    xhat += dbeta
+    xhat /= dout.shape[0] * dout.shape[1]
+    np.subtract(dout, xhat, out=xhat)
+    xhat *= gamma * inv_std
+    return xhat, dgamma, dbeta
 
 
 def elu(x: np.ndarray) -> np.ndarray:
     """Exponential linear unit, alpha = 1."""
     x = np.asarray(x, dtype=np.float64)
-    return np.where(x > 0.0, x, np.expm1(x))
+    # One of the two terms is exactly 0.0, so each element is x or
+    # expm1(x) (-0.0 comes out as 0.0), with no exp of positive values.
+    out = np.expm1(np.minimum(x, 0.0))
+    out += np.maximum(x, 0.0)
+    return out
 
 
 def _elu_backward(dout, elu_out):
-    return dout * (np.minimum(elu_out, 0.0) + 1.0)
+    # dout may broadcast against elu_out; the result has elu_out's shape.
+    grad = np.minimum(elu_out, 0.0)
+    grad += 1.0
+    grad *= dout
+    return grad
+
+
+def _avgpool(x, pool):
+    # Channels-last [B, n, K] -> [B, n / pool, K].
+    b, n, k = x.shape
+    return x.reshape(b, n // pool, pool, k).mean(axis=2)
 
 
 def avgpool(x: np.ndarray, pool: int) -> np.ndarray:
@@ -236,12 +276,7 @@ def avgpool(x: np.ndarray, pool: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[2] % pool != 0:
         raise ValueError(f"temporal length {x.shape[2]} not divisible by pool {pool}")
-    b, k, n = x.shape
-    return x.reshape(b, k, n // pool, pool).mean(axis=3)
-
-
-def _avgpool_backward(dout, pool):
-    return np.repeat(dout / pool, pool, axis=2)
+    return _avgpool(x.transpose(0, 2, 1), pool).transpose(0, 2, 1)
 
 
 @dataclass
@@ -275,7 +310,7 @@ def lstm_forward(xs: np.ndarray, params: ModelParams) -> tuple[np.ndarray, LstmC
         a = proj[:, t, :] + h_seq[t] @ params.lstm_u.T
         gates[t] = sigmoid(a)  # i, f and o; the g block is overwritten next
         gates[t, :, 2 * d : 3 * d] = np.tanh(a[:, 2 * d : 3 * d])
-        i_t, f_t, g_t, o_t = np.split(gates[t], 4, axis=1)
+        i_t, f_t, g_t, o_t = (gates[t, :, j * d : (j + 1) * d] for j in range(4))
         c = f_t * c + i_t * g_t
         c_seq[t] = c
         tanh_c[t] = np.tanh(c)
@@ -326,12 +361,12 @@ class ForwardTrace:
     """Everything the backward pass (and the interpreter) needs."""
 
     conv_windows: np.ndarray  # [B, n, L]
-    conv_out: np.ndarray  # [B, K, n]
-    bn_out: np.ndarray
+    conv_out: np.ndarray  # [B, K, n], a view of the channels-last buffer
+    bn_out: np.ndarray  # [B, K, n] view
     bn_mean: np.ndarray | None  # batch statistics (train mode only)
     bn_var: np.ndarray | None
-    elu_out: np.ndarray
-    pool_out: np.ndarray  # [B, K, T]
+    elu_out: np.ndarray  # [B, K, n] view
+    pool_out: np.ndarray  # [B, K, T], a view of the LSTM input
     lstm_cache: LstmCache
     hidden: np.ndarray  # [T, B, D], h_1..h_T
     probs: np.ndarray  # [B, D]
@@ -357,29 +392,27 @@ def model_forward(
     assert_finite(x, "model input")
 
     windows = _conv_windows(x[:, 0, :], config.kernel_len)
-    conv_out = _conv_apply(windows, params.conv_w, params.conv_b)
+    conv_out = _conv_apply(windows, params.conv_w, params.conv_b)  # [B, n, K]
     if mode == "train":
         bn_out, mean, var = _batchnorm_train(conv_out, params.bn_gamma, params.bn_beta)
     elif mode == "eval":
-        bn_out = batchnorm_eval(
-            conv_out, params.bn_gamma, params.bn_beta, params.bn_run_mean, params.bn_run_var
-        )
+        bn_out = _batchnorm(np.subtract(conv_out, params.bn_run_mean),
+                            params.bn_gamma, params.bn_beta, params.bn_run_var)
         mean = var = None
     else:
         raise ValueError(f"unknown mode {mode!r}")
     elu_out = elu(bn_out)
-    pool_out = avgpool(elu_out, config.pool)
-    lstm_in = pool_out.transpose(0, 2, 1)  # [B, T, K]
+    lstm_in = _avgpool(elu_out, config.pool)  # [B, T, K]
     hidden, lstm_cache = lstm_forward(lstm_in, params)
     probs = softmax_rows(hidden[-1])
     trace = ForwardTrace(
         conv_windows=windows,
-        conv_out=conv_out,
-        bn_out=bn_out,
+        conv_out=conv_out.transpose(0, 2, 1),
+        bn_out=bn_out.transpose(0, 2, 1),
         bn_mean=mean,
         bn_var=var,
-        elu_out=elu_out,
-        pool_out=pool_out,
+        elu_out=elu_out.transpose(0, 2, 1),
+        pool_out=lstm_in.transpose(0, 2, 1),
         lstm_cache=lstm_cache,
         hidden=hidden,
         probs=probs,
@@ -422,16 +455,23 @@ def model_gradients(
     onehot[np.arange(b), labels] = 1.0
     dh_last = (probs - onehot) / b  # softmax + cross-entropy identity
 
-    dxs, lstm_grads = _lstm_backward(dh_last, trace.lstm_cache, params)
-    dpool = dxs.transpose(0, 2, 1)  # [B, K, T]
-    delu_out = _avgpool_backward(dpool, config.pool)
-    dbn_out = _elu_backward(delu_out, trace.elu_out)
+    dxs, lstm_grads = _lstm_backward(dh_last, trace.lstm_cache, params)  # [B, T, K]
+    elu_out = trace.elu_out.transpose(0, 2, 1)  # channels-last [B, n, K]
+    pooled_windows = elu_out.reshape(b, -1, config.pool, elu_out.shape[2])
+    # Average-pool backward: each window's gradient / pool, broadcast over it.
+    dbn_out = _elu_backward((dxs / config.pool)[:, :, None, :],
+                            pooled_windows).reshape(elu_out.shape)
     dconv, dgamma, dbeta = _batchnorm_backward(
-        dbn_out, trace.conv_out, trace.bn_mean, trace.bn_var, params.bn_gamma
+        dbn_out, trace.conv_out.transpose(0, 2, 1), trace.bn_mean, trace.bn_var, params.bn_gamma
     )
-    dw, db = _conv_backward(dconv, trace.conv_windows)
-
-    grads: dict[str, np.ndarray] = {"conv_w": dw, "conv_b": db, "bn_gamma": dgamma, "bn_beta": dbeta}
+    # Batch norm subtracts each channel's batch mean, which absorbs the conv
+    # bias: its exact gradient is 0, so Adam leaves it where it is.
+    grads: dict[str, np.ndarray] = {
+        "conv_w": _conv_backward(dconv, trace.conv_windows),
+        "conv_b": np.zeros_like(params.conv_b),
+        "bn_gamma": dgamma,
+        "bn_beta": dbeta,
+    }
     grads.update(lstm_grads)
     for name, g in grads.items():
         assert_finite(g, f"gradient of {name}")

@@ -1,10 +1,16 @@
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import drowse
 from drowse.binio import FormatError
+from drowse.dataio import generate_synthetic
 from drowse.network import (
     BN_EPS,
     NetConfig,
@@ -25,8 +31,9 @@ from drowse.network import (
     _conv_apply,
     _conv_windows,
     _elu_backward,
+    _lstm_backward,
 )
-from drowse.numerics import Rng
+from drowse.numerics import Rng, softmax_rows
 
 REDUCED = NetConfig(kernels=4, kernel_len=8, n_samples=48, pool=4)
 
@@ -83,21 +90,21 @@ class TestConv:
         w[:, 0, 31] = 1.0
         out = _conv_apply(_conv_windows(x[:, 0, :], 64), w, np.zeros(32))
         for j in range(32):
-            np.testing.assert_allclose(out[:, j, :], x[:, 0, :], atol=1e-12)
+            np.testing.assert_allclose(out[:, :, j], x[:, 0, :], atol=1e-12)
 
     def test_ones_kernel_constant_interior(self):
         c = 2.5
         x = np.full((1, 1, 384), c)
         out = _conv_apply(_conv_windows(x[:, 0, :], 64), np.ones((1, 1, 64)), np.array([0.75]))
-        np.testing.assert_allclose(out[0, 0, 32:320], 64 * c + 0.75, atol=1e-9)
+        np.testing.assert_allclose(out[0, 32:320, 0], 64 * c + 0.75, atol=1e-9)
 
     def test_matches_naive(self):
         rng = Rng(8)
         x = rng.normal((2, 1, 20))
         w = rng.normal((3, 1, 5))
         b = rng.normal((3,))
-        out = _conv_apply(_conv_windows(x[:, 0, :], 5), w, b)
-        np.testing.assert_allclose(out, naive_conv(x, w, b), atol=1e-12)
+        out = _conv_apply(_conv_windows(x[:, 0, :], 5), w, b)  # [B, n, K]
+        np.testing.assert_allclose(out, naive_conv(x, w, b).transpose(0, 2, 1), atol=1e-12)
 
     def test_shape_mismatch(self):
         # the production conv sits behind model_forward's shape checks
@@ -110,19 +117,20 @@ class TestConv:
 
 
 class TestBatchNorm:
+    # _batchnorm_train takes channels-last [B, n, K] activations.
     def test_train_standardizes(self):
         rng = Rng(2)
-        x = rng.normal((4, 32, 384), mean=3.0, std=2.0)
+        x = rng.normal((4, 384, 32), mean=3.0, std=2.0)
         out = _batchnorm_train(x, np.ones(32), np.zeros(32))[0]
-        np.testing.assert_allclose(out.mean(axis=(0, 2)), 0.0, atol=1e-6)
-        np.testing.assert_allclose(out.var(axis=(0, 2)), 1.0, atol=1e-4)
+        np.testing.assert_allclose(out.mean(axis=(0, 1)), 0.0, atol=1e-6)
+        np.testing.assert_allclose(out.var(axis=(0, 1)), 1.0, atol=1e-4)
 
     def test_zero_variance_channel(self):
-        x = np.full((3, 2, 16), 5.0)
+        x = np.full((3, 16, 2), 5.0)
         beta = np.array([0.25, -0.5])
         out = _batchnorm_train(x, np.ones(2), beta)[0]
-        np.testing.assert_allclose(out[:, 0, :], 0.25, atol=1e-3)
-        np.testing.assert_allclose(out[:, 1, :], -0.5, atol=1e-3)
+        np.testing.assert_allclose(out[:, :, 0], 0.25, atol=1e-3)
+        np.testing.assert_allclose(out[:, :, 1], -0.5, atol=1e-3)
 
     def test_eval_identity(self):
         rng = Rng(9)
@@ -132,7 +140,7 @@ class TestBatchNorm:
 
     def test_single_sample_train_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            _batchnorm_train(np.zeros((1, 4, 12)), np.ones(4), np.zeros(4))
+            _batchnorm_train(np.zeros((1, 12, 4)), np.ones(4), np.zeros(4))
 
     def test_running_update(self):
         p = init_params(Rng(1))
@@ -202,14 +210,124 @@ class TestBackwardMatchesReference:
     def test_batchnorm_backward(self):
         for seed in range(3):
             x, gamma, dout, beta = self.inputs(seed)
-            _, mean, var = _batchnorm_train(x, gamma, beta)
+            # the production helpers take channels-last [B, n, K]
+            x_cl, dout_cl = x.transpose(0, 2, 1), dout.transpose(0, 2, 1)
+            _, mean, var = _batchnorm_train(x_cl, gamma, beta)
             inv_std = 1.0 / np.sqrt(var + BN_EPS)
             xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
-            got = _batchnorm_backward(dout, x, mean, var, gamma)
+            dx, dgamma, dbeta = _batchnorm_backward(dout_cl, x_cl, mean, var, gamma)
+            got = (dx.transpose(0, 2, 1), dgamma, dbeta)
             want = reference_batchnorm_backward(dout, xhat, inv_std, gamma)
             for g, w in zip(got, want):
                 assert_close_normwise(g, w)
             np.testing.assert_array_equal(got[0][:, 2, :], 0.0)  # gamma = 0
+
+
+def reference_model_gradients(batch, labels, params, config=NetConfig()):
+    """One train step in the [B, K, n] layout: the conv output as a
+    transposed view, the pool gradient through np.repeat and the conv
+    gradient through a transposed copy. Returns the loss and gradients."""
+    length, pool = config.kernel_len, config.pool
+    xpad = np.pad(batch[:, 0, :], ((0, 0), ((length - 1) // 2, length // 2)))
+    windows = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(xpad, length, axis=1))
+    b, n, _ = windows.shape
+    conv = windows.reshape(b * n, length) @ params.conv_w[:, 0, :].T + params.conv_b
+    conv = conv.reshape(b, n, -1).transpose(0, 2, 1)
+    mean, var = conv.mean(axis=(0, 2)), conv.var(axis=(0, 2))
+    gamma, beta = params.bn_gamma[None, :, None], params.bn_beta[None, :, None]
+    inv_std = 1.0 / np.sqrt(var[None, :, None] + BN_EPS)
+    bn = gamma * (conv - mean[None, :, None]) * inv_std + beta
+    act = np.where(bn > 0.0, bn, np.expm1(bn))
+    pooled = act.reshape(b, act.shape[1], n // pool, pool).mean(axis=3)  # [B, K, T]
+    hidden, cache = lstm_forward(pooled.transpose(0, 2, 1), params)
+    probs = softmax_rows(hidden[-1])
+    onehot = np.zeros_like(probs)
+    onehot[np.arange(b), labels] = 1.0
+    dxs, grads = _lstm_backward((probs - onehot) / b, cache, params)
+    dact = np.repeat(dxs.transpose(0, 2, 1) / pool, pool, axis=2)
+    dbn = dact * (np.minimum(act, 0.0) + 1.0)
+    xhat = (conv - mean[None, :, None]) * inv_std
+    dgamma = np.sum(dbn * xhat, axis=(0, 2))
+    dbeta = np.sum(dbn, axis=(0, 2))
+    dconv = gamma * inv_std * (dbn - (dbeta[:, None] + xhat * dgamma[:, None]) / (b * n))
+    dconv_flat = dconv.transpose(1, 0, 2).reshape(-1, b * n)
+    grads.update(conv_w=(dconv_flat @ windows.reshape(b * n, length))[:, None, :],
+                 conv_b=dconv.sum(axis=(0, 2)), bn_gamma=dgamma, bn_beta=dbeta)
+    return cross_entropy(probs, labels), grads
+
+
+def perturbed_params(seed):
+    """Initial weights with non-trivial batch-norm affine and conv bias."""
+    p = init_params(Rng(seed))
+    p.conv_b = np.linspace(-1e-3, 1e-3, 32)
+    p.bn_gamma = np.linspace(0.5, 1.5, 32)
+    p.bn_beta = np.linspace(-0.2, 0.2, 32)
+    return p
+
+
+class TestChannelsLastLayout:
+    def batch50(self):
+        data = generate_synthetic(4, 30, 1)
+        rows = Rng(3).permutation(len(data))[:50]
+        return data.data[rows, None, :].astype(np.float64), data.labels[rows].astype(np.int64)
+
+    def test_gradients_match_reference_layout_bit_for_bit(self):
+        x, y = self.batch50()
+        p = perturbed_params(7)
+        loss, grads, _ = model_gradients(x, y, p)
+        ref_loss, ref = reference_model_gradients(x, y, p)
+        assert loss == ref_loss
+        assert grads.keys() == ref.keys()
+        for name in grads:
+            if name != "conv_b":
+                np.testing.assert_array_equal(grads[name], ref[name], err_msg=name)
+        # Batch norm absorbs the conv bias: its exact gradient is 0, and the
+        # reference's channel sums of dconv are rounding noise.
+        np.testing.assert_array_equal(grads["conv_b"], 0.0)
+        assert np.abs(ref["conv_b"]).max() <= 1e-12 * np.abs(ref["conv_w"]).max()
+
+    def test_public_layers_reproduce_the_trace(self):
+        # The calls the traced benchmark suite makes on trace fields.
+        x, _ = self.batch50()
+        p = perturbed_params(8)
+        _, trace = model_forward(x, p, "train")
+        assert trace.conv_out.shape == trace.bn_out.shape == trace.elu_out.shape == (50, 32, 384)
+        np.testing.assert_array_equal(elu(trace.bn_out), trace.elu_out)
+        np.testing.assert_array_equal(avgpool(trace.elu_out, 8), trace.pool_out)
+        np.testing.assert_array_equal(
+            batchnorm_eval(trace.conv_out, p.bn_gamma, p.bn_beta, trace.bn_mean, trace.bn_var),
+            trace.bn_out,
+        )
+        np.testing.assert_array_equal(lstm_forward(trace.pool_out.transpose(0, 2, 1), p)[0],
+                                      trace.hidden)
+
+
+BLAS_CHILD = """
+import sys
+import numpy as np
+from drowse import network
+from drowse.dataio import generate_synthetic
+from drowse.numerics import Rng
+data = generate_synthetic(4, 30, 1)
+x = data.data[:, None, :].astype(np.float64)
+params = network.init_params(Rng(7))
+loss, grads, _ = network.model_gradients(x[:50], data.labels[:50].astype(np.int64), params)
+probs, _ = network.model_forward(x, params, "eval")
+parts = [np.float64(loss)] + [grads[name] for name in sorted(grads)] + [probs]
+sys.stdout.buffer.write(b"".join(part.tobytes() for part in parts))
+"""
+
+
+def test_results_do_not_depend_on_blas_thread_count():
+    src = str(Path(drowse.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", BLAS_CHILD], env=env,
+                             capture_output=True, timeout=120, check=True)
+        outputs.append(run.stdout)
+    assert len(outputs[0]) > 8 * 240 * 2
+    assert outputs[0] == outputs[1]
 
 
 class TestAvgPool:

@@ -136,6 +136,17 @@ class TestTrain:
             np.testing.assert_array_equal(getattr(runs[0], name), getattr(runs[1], name),
                                           err_msg=name)
 
+    def test_conv_bias_stays_at_its_initial_value(self):
+        # Batch norm absorbs the conv bias: its gradient is exactly 0, so
+        # Adam never moves it, not even by rounding noise.
+        data = generate_synthetic(2, 10, 3)
+        params = init_params(Rng(5), SMALL_NET)
+        start = params.copy()
+        train(params, data, TrainConfig(max_epochs=2, batch_size=10), Rng(6),
+              net_config=SMALL_NET)
+        np.testing.assert_array_equal(params.conv_b, start.conv_b)
+        assert not np.array_equal(params.conv_w, start.conv_w)
+
     def test_single_class_rejected(self):
         data = toy_set([0] * 12)
         params = init_params(Rng(5), SMALL_NET)
