@@ -29,6 +29,16 @@ buffers, the layout the public batchnorm_eval, elu and avgpool take. The
 conv bias gets an exact zero gradient: batch norm subtracts each
 channel's batch mean, which absorbs it.
 
+The forward and backward passes write every [B, n, L] window array and
+every [B, n, K] activation, gradient and temporary into a Workspace, which
+allocates each buffer once and hands a shorter batch its leading rows, so
+the steps of a training run after its first map no fresh pages for them.
+Only the destinations of the ufuncs differ from fresh arrays, so the bits
+are the same. A trace built on a workspace holds views of its buffers: it
+is valid until that workspace's next use. model_forward and
+model_gradients make a fresh workspace when given none, so a trace made
+without one stays valid.
+
 The LSTM's weights are kept stacked, one [4D, ...] tensor each for the
 input weights, the recurrent weights and the biases, with row blocks in
 gate order i, f, g, o, so every step is one gate matmul forward and
@@ -169,25 +179,49 @@ def init_params(rng: Rng, config: NetConfig = NetConfig()) -> ModelParams:
     )
 
 
+class Workspace:
+    """Named float64 buffers reused across calls of model_forward and
+    model_gradients. A buffer is allocated on first use and again only when
+    a batch has more rows than it holds; a batch with fewer rows gets a
+    view of its leading rows. Arrays computed into a workspace, including a
+    ForwardTrace's, are overwritten by its next use."""
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """A C-contiguous array of the given shape backed by buffer `name`."""
+        buf = self._buffers.get(name)
+        if buf is None or buf.shape[0] < shape[0] or buf.shape[1:] != tuple(shape[1:]):
+            buf = self._buffers[name] = np.empty(shape)
+        return buf[:shape[0]]
+
+
 # ---------------------------------------------------------------------------
 # layers
 # ---------------------------------------------------------------------------
 
 
-def _conv_windows(x2: np.ndarray, kernel_len: int) -> np.ndarray:
+def _conv_windows(x2: np.ndarray, kernel_len: int, ws: Workspace) -> np.ndarray:
     # x2: [B, n] -> contiguous [B, n, kernel_len] windows of the padded signal.
+    batch, n = x2.shape
     left = (kernel_len - 1) // 2
-    right = kernel_len // 2
-    xpad = np.pad(x2, ((0, 0), (left, right)))
-    return np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(xpad, kernel_len, axis=1))
+    xpad = ws.take("xpad", (batch, n + kernel_len - 1))
+    xpad[:, :left] = 0.0
+    xpad[:, left:left + n] = x2
+    xpad[:, left + n:] = 0.0
+    windows = ws.take("windows", (batch, n, kernel_len))
+    np.copyto(windows, np.lib.stride_tricks.sliding_window_view(xpad, kernel_len, axis=1))
+    return windows
 
 
-def _conv_apply(windows: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _conv_apply(windows: np.ndarray, w: np.ndarray, b: np.ndarray, ws: Workspace) -> np.ndarray:
     # Correlate [B, n, L] windows with kernels [K, 1, L], add bias -> [B, n, K].
     batch, n, length = windows.shape
-    out = windows.reshape(batch * n, length) @ w[:, 0, :].T
+    out = ws.take("conv", (batch, n, w.shape[0]))
+    np.matmul(windows.reshape(batch * n, length), w[:, 0, :].T, out=out.reshape(batch * n, -1))
     out += b
-    return out.reshape(batch, n, -1)
+    return out
 
 
 def _conv_backward(dout, windows):
@@ -214,15 +248,16 @@ def batchnorm_eval(x, gamma, beta, mean, var):
     return _batchnorm(np.subtract(x, mean), gamma, beta, var).transpose(0, 2, 1)
 
 
-def _batchnorm_train(x, gamma, beta):
+def _batchnorm_train(x, gamma, beta, ws: Workspace):
     # x: channels-last [B, n, K].
     if x.shape[0] < 2:
         raise ValueError("batch norm in train mode needs a batch of at least 2")
     mean = x.mean(axis=(0, 1))
-    centered = np.subtract(x, mean)
+    centered = np.subtract(x, mean, out=ws.take("bn", x.shape))
     # Population variance over batch x time, by np.var's own steps (so with
     # its bits) on the x - mean buffer that the output is then built in.
-    var = np.square(centered).sum(axis=(0, 1)) / (x.shape[0] * x.shape[1])
+    var = np.square(centered, out=ws.take("tmp", x.shape)).sum(axis=(0, 1)) / (
+        x.shape[0] * x.shape[1])
     return _batchnorm(centered, gamma, beta, var), mean, var
 
 
@@ -232,12 +267,12 @@ def updated_running_stats(params: ModelParams, batch_mean, batch_var):
     return new_mean, new_var
 
 
-def _batchnorm_backward(dout, x, mean, var, gamma):
+def _batchnorm_backward(dout, x, mean, var, gamma, ws: Workspace):
     # Channels-last [B, n, K]; dx is built in place in the xhat buffer.
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = np.subtract(x, mean)
+    xhat = np.subtract(x, mean, out=ws.take("xhat", x.shape))
     xhat *= inv_std
-    dgamma = np.sum(dout * xhat, axis=(0, 1))
+    dgamma = np.sum(np.multiply(dout, xhat, out=ws.take("tmp", x.shape)), axis=(0, 1))
     dbeta = np.sum(dout, axis=(0, 1))
     xhat *= dgamma
     xhat += dbeta
@@ -247,28 +282,33 @@ def _batchnorm_backward(dout, x, mean, var, gamma):
     return xhat, dgamma, dbeta
 
 
-def elu(x: np.ndarray) -> np.ndarray:
-    """Exponential linear unit, alpha = 1."""
-    x = np.asarray(x, dtype=np.float64)
+def _elu(x, out, tmp):
     # One of the two terms is exactly 0.0, so each element is x or
     # expm1(x) (-0.0 comes out as 0.0), with no exp of positive values.
-    out = np.expm1(np.minimum(x, 0.0))
-    out += np.maximum(x, 0.0)
+    np.minimum(x, 0.0, out=out)
+    np.expm1(out, out=out)
+    out += np.maximum(x, 0.0, out=tmp)
     return out
 
 
-def _elu_backward(dout, elu_out):
+def elu(x: np.ndarray) -> np.ndarray:
+    """Exponential linear unit, alpha = 1."""
+    x = np.asarray(x, dtype=np.float64)
+    return _elu(x, np.empty_like(x), np.empty_like(x))
+
+
+def _elu_backward(dout, elu_out, ws: Workspace):
     # dout may broadcast against elu_out; the result has elu_out's shape.
-    grad = np.minimum(elu_out, 0.0)
+    grad = np.minimum(elu_out, 0.0, out=ws.take("slope", elu_out.shape))
     grad += 1.0
     grad *= dout
     return grad
 
 
-def _avgpool(x, pool):
+def _avgpool(x, pool, out=None):
     # Channels-last [B, n, K] -> [B, n / pool, K].
     b, n, k = x.shape
-    return x.reshape(b, n // pool, pool, k).mean(axis=2)
+    return x.reshape(b, n // pool, pool, k).mean(axis=2, out=out)
 
 
 def avgpool(x: np.ndarray, pool: int) -> np.ndarray:
@@ -373,13 +413,16 @@ class ForwardTrace:
 
 
 def model_forward(
-    batch: np.ndarray, params: ModelParams, mode: str, config: NetConfig = NetConfig()
+    batch: np.ndarray, params: ModelParams, mode: str, config: NetConfig = NetConfig(),
+    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Full forward pass over a [B, 1, n] batch.
 
     Returns per-class probabilities [B, n_classes] (rows sum to 1) and the
     forward trace. Pure: running statistics are not touched; train-mode
-    batch statistics are reported in the trace for the caller.
+    batch statistics are reported in the trace for the caller. The
+    activations are computed into ``workspace`` (a fresh one when None),
+    and the trace is valid until that workspace's next use.
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 3 or x.shape[1] != 1 or x.shape[2] != config.n_samples:
@@ -390,19 +433,22 @@ def model_forward(
         if got != want:
             raise ValueError(f"parameter {attr} has shape {got}, expected {want}")
     assert_finite(x, "model input")
+    if mode not in ("train", "eval"):
+        raise ValueError(f"unknown mode {mode!r}")
 
-    windows = _conv_windows(x[:, 0, :], config.kernel_len)
-    conv_out = _conv_apply(windows, params.conv_w, params.conv_b)  # [B, n, K]
+    ws = Workspace() if workspace is None else workspace
+    windows = _conv_windows(x[:, 0, :], config.kernel_len, ws)
+    conv_out = _conv_apply(windows, params.conv_w, params.conv_b, ws)  # [B, n, K]
+    shape = conv_out.shape
     if mode == "train":
-        bn_out, mean, var = _batchnorm_train(conv_out, params.bn_gamma, params.bn_beta)
-    elif mode == "eval":
-        bn_out = _batchnorm(np.subtract(conv_out, params.bn_run_mean),
+        bn_out, mean, var = _batchnorm_train(conv_out, params.bn_gamma, params.bn_beta, ws)
+    else:
+        bn_out = _batchnorm(np.subtract(conv_out, params.bn_run_mean, out=ws.take("bn", shape)),
                             params.bn_gamma, params.bn_beta, params.bn_run_var)
         mean = var = None
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    elu_out = elu(bn_out)
-    lstm_in = _avgpool(elu_out, config.pool)  # [B, T, K]
+    elu_out = _elu(bn_out, ws.take("elu", shape), ws.take("tmp", shape))
+    lstm_in = _avgpool(elu_out, config.pool,
+                       ws.take("pool", (shape[0], config.seq_len, shape[2])))  # [B, T, K]
     hidden, lstm_cache = lstm_forward(lstm_in, params)
     probs = softmax_rows(hidden[-1])
     trace = ForwardTrace(
@@ -433,19 +479,23 @@ def model_gradients(
     labels: np.ndarray,
     params: ModelParams,
     config: NetConfig = NetConfig(),
+    workspace: Workspace | None = None,
 ) -> tuple[float, dict[str, np.ndarray], ForwardTrace]:
     """Mean cross-entropy loss and its exact gradients for one train batch.
 
     Gradients are returned as a dict keyed by parameter attribute name
     (running statistics excluded). The trace is included so the training
-    loop can update running statistics from the batch statistics.
+    loop can update running statistics from the batch statistics. The
+    activations and their gradients are computed into ``workspace`` (a
+    fresh one when None); the returned gradients are fresh arrays.
     """
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.shape[0] != np.shape(batch)[0]:
         raise ValueError("labels must be a vector matching the batch size")
     if labels.min() < 0 or labels.max() >= config.n_classes:
         raise ValueError("labels out of range")
-    probs, trace = model_forward(batch, params, "train", config)
+    ws = Workspace() if workspace is None else workspace
+    probs, trace = model_forward(batch, params, "train", config, ws)
     loss = cross_entropy(probs, labels)
     if not np.isfinite(loss):
         raise ValueError("non-finite training loss")
@@ -460,10 +510,10 @@ def model_gradients(
     pooled_windows = elu_out.reshape(b, -1, config.pool, elu_out.shape[2])
     # Average-pool backward: each window's gradient / pool, broadcast over it.
     dbn_out = _elu_backward((dxs / config.pool)[:, :, None, :],
-                            pooled_windows).reshape(elu_out.shape)
+                            pooled_windows, ws).reshape(elu_out.shape)
     dconv, dgamma, dbeta = _batchnorm_backward(
-        dbn_out, trace.conv_out.transpose(0, 2, 1), trace.bn_mean, trace.bn_var, params.bn_gamma
-    )
+        dbn_out, trace.conv_out.transpose(0, 2, 1), trace.bn_mean, trace.bn_var, params.bn_gamma,
+        ws)
     # Batch norm subtracts each channel's batch mean, which absorbs the conv
     # bias: its exact gradient is 0, so Adam leaves it where it is.
     grads: dict[str, np.ndarray] = {

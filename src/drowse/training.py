@@ -6,10 +6,22 @@ network.model_gradients), and a leave-one-subject-out harness that records
 per-epoch test accuracy for every (subject, repeat) pair.  Folds are
 embarrassingly parallel; results are keyed by (subject, repeat) so thread
 count never changes the report.
+
+At threads > 1 the folds run in a pool of worker processes started with
+the spawn method: each worker is a fresh interpreter, never a fork of a
+parent whose BLAS threads already exist, and it inherits the parent's
+environment, so one BLAS thread (see the package docstring). The pool
+initializer hands each worker the dataset and both configs once; a job is
+only its (subject, repeat) pair. At threads == 1 the folds run in the
+calling process. Each process running folds, the caller or a worker,
+computes every training step and evaluation of all its folds into one
+network Workspace, so its buffers are mapped once per process rather than
+once per step or fold.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -17,6 +29,7 @@ import numpy as np
 
 from .network import (
     NetConfig,
+    Workspace,
     init_params,
     model_forward,
     model_gradients,
@@ -87,14 +100,16 @@ def adam_step(params, grads: dict, state: AdamState, config: TrainConfig):
 
 
 def train(params, train_set, config: TrainConfig, rng: Rng, on_epoch=None,
-          net_config: NetConfig | None = None):
+          net_config: NetConfig | None = None, workspace: Workspace | None = None):
     """Epoch loop: seeded shuffle, fixed-size batches, Adam per batch.
 
     The trailing short batch is dropped when it has fewer than 2 samples
     (batch norm needs at least 2).  Batch-norm running statistics are
     updated after every batch.  ``on_epoch(epoch, params, mean_loss)`` is
-    called after each epoch with 1-based epoch numbers.  Returns params
-    after the final epoch.
+    called after each epoch with 1-based epoch numbers.  Every step
+    computes into ``workspace`` (one fresh for this call when None), which
+    holds nothing between steps, so ``on_epoch`` may use it too.  Returns
+    params after the final epoch.
     """
     net_config = net_config or NetConfig()
     x = train_set.data.astype(np.float64)[:, None, :]
@@ -106,6 +121,7 @@ def train(params, train_set, config: TrainConfig, rng: Rng, on_epoch=None,
         raise ValueError("training set contains a single class")
 
     state = AdamState.for_params(params)
+    ws = Workspace() if workspace is None else workspace
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(n)
         losses = []
@@ -113,7 +129,7 @@ def train(params, train_set, config: TrainConfig, rng: Rng, on_epoch=None,
             idx = order[start:start + config.batch_size]
             if idx.size < 2:
                 continue
-            loss, grads, trace = model_gradients(x[idx], y[idx], params, net_config)
+            loss, grads, trace = model_gradients(x[idx], y[idx], params, net_config, ws)
             params.bn_run_mean, params.bn_run_var = updated_running_stats(
                 params, trace.bn_mean, trace.bn_var)
             adam_step(params, grads, state, config)
@@ -123,8 +139,11 @@ def train(params, train_set, config: TrainConfig, rng: Rng, on_epoch=None,
     return params
 
 
-def evaluate(params, test_set, net_config: NetConfig | None = None) -> float:
-    """Eval-mode accuracy; an exactly tied posterior predicts label 0."""
+def evaluate(params, test_set, net_config: NetConfig | None = None,
+             workspace: Workspace | None = None) -> float:
+    """Eval-mode accuracy; an exactly tied posterior predicts label 0.
+    Every chunk computes into ``workspace`` (one fresh for this call when
+    None)."""
     net_config = net_config or NetConfig()
     n = len(test_set)
     if n == 0:
@@ -132,8 +151,9 @@ def evaluate(params, test_set, net_config: NetConfig | None = None) -> float:
     x = test_set.data.astype(np.float64)[:, None, :]
     y = test_set.labels.astype(np.int64)
     correct = 0
+    ws = Workspace() if workspace is None else workspace
     for start in range(0, n, EVAL_CHUNK):
-        probs, _ = model_forward(x[start:start + EVAL_CHUNK], params, "eval", net_config)
+        probs, _ = model_forward(x[start:start + EVAL_CHUNK], params, "eval", net_config, ws)
         # np.argmax takes the first maximum, so a 0.5/0.5 tie predicts 0
         pred = np.argmax(probs, axis=1)
         correct += int((pred == y[start:start + EVAL_CHUNK]).sum())
@@ -174,18 +194,30 @@ class CvReport:
         return self.per_subject_curve()[:, epoch - 1]
 
 
-def _fold_job(args):
-    data, subject, repeat, config, net_config = args
+def _fold_job(data, config, net_config, ws, subject, repeat):
     train_set, test_set = loso_split(data, subject)
     rng = Rng(config.seed).split(int(subject), int(repeat))
     params = init_params(rng, net_config or NetConfig())
     accs = []
 
     def record(epoch, current, mean_loss):
-        accs.append(evaluate(current, test_set, net_config))
+        accs.append(evaluate(current, test_set, net_config, ws))
 
-    train(params, train_set, config, rng, on_epoch=record, net_config=net_config)
+    train(params, train_set, config, rng, on_epoch=record, net_config=net_config, workspace=ws)
     return int(subject), int(repeat), accs
+
+
+# A pool worker's (data, config, net_config, workspace), set once when it starts.
+_worker_inputs = None
+
+
+def _start_worker(data, config, net_config):
+    global _worker_inputs
+    _worker_inputs = (data, config, net_config, Workspace())
+
+
+def _worker_fold_job(job):
+    return _fold_job(*_worker_inputs, *job)
 
 
 def run_loso(data, config: TrainConfig, threads: int = 1,
@@ -194,18 +226,23 @@ def run_loso(data, config: TrainConfig, threads: int = 1,
 
     Every (subject, repeat) pair trains a fresh model from a seed derived
     from (config.seed, subject, repeat), so results are independent of both
-    scheduling and thread count.
+    scheduling and thread count. At threads > 1 the workers are spawned, so
+    they import the caller's main module: a script that calls this must
+    keep its own work under ``if __name__ == "__main__":``.
     """
     subjects = data.subject_ids()
     if len(subjects) < 2:
         raise ValueError("leave-one-subject-out needs at least 2 subjects")
-    jobs = [(data, subject, repeat, config, net_config)
-            for subject in subjects for repeat in range(1, config.repeats + 1)]
+    jobs = [(subject, repeat) for subject in subjects for repeat in range(1, config.repeats + 1)]
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_fold_job, jobs))
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs)),
+                                 mp_context=multiprocessing.get_context("spawn"),
+                                 initializer=_start_worker,
+                                 initargs=(data, config, net_config)) as pool:
+            results = list(pool.map(_worker_fold_job, jobs))
     else:
-        results = [_fold_job(job) for job in jobs]
+        ws = Workspace()
+        results = [_fold_job(data, config, net_config, ws, *job) for job in jobs]
 
     accuracies = np.zeros((len(subjects), config.repeats, config.max_epochs))
     row = {subject: i for i, subject in enumerate(subjects)}

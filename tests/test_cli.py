@@ -1,8 +1,13 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import drowse
 from drowse import cli, dataio
 
 from test_interpret import read_heatmap_csv
@@ -212,18 +217,24 @@ class TestLoso:
         assert code == 1
         assert "DROWSE_THREADS" in capsys.readouterr().err
 
-    def test_thread_count_invariance(self, synth_file, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("DROWSE_THREADS", raising=False)
-        outs = []
+    def test_thread_count_invariance(self, synth_file, tmp_path):
+        # Child processes, so that each sets its own BLAS thread count
+        # before numpy loads: worker count x BLAS threads must not matter.
+        src = str(Path(drowse.__file__).resolve().parents[1])
+        reports = {}
         for threads in ("1", "2"):
-            out = tmp_path / f"rep{threads}"
-            assert run("loso", "--data", synth_file, "--out", str(out),
-                       "--epochs", "1", "--repeats", "1", "--seed", "6",
-                       "--threads", threads) == 0
-            outs.append((out / "loso_detail.csv").read_bytes()
-                        + (out / "loso_summary.csv").read_bytes())
-        capsys.readouterr()
-        assert outs[0] == outs[1]
+            for blas in ("1", "2"):
+                out = tmp_path / f"workers{threads}-blas{blas}"
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, PYTHONPATH=src)
+                subprocess.run([sys.executable, "-m", "drowse", "loso", "--data", synth_file,
+                                "--out", str(out), "--epochs", "2", "--repeats", "2",
+                                "--seed", "6", "--threads", threads],
+                               env=env, capture_output=True, timeout=300, check=True)
+                reports[threads, blas] = [(out / name).read_bytes()
+                                          for name in ("loso_detail.csv", "loso_summary.csv")]
+        assert reports["1", "1"][0].count(b"\n") == 1 + 3 * 2 * 2
+        for key, report in reports.items():
+            assert report == reports["1", "1"], key
 
 
 class TestBaseline:

@@ -15,6 +15,7 @@ from drowse.network import (
     BN_EPS,
     NetConfig,
     ModelParams,
+    Workspace,
     avgpool,
     batchnorm_eval,
     cross_entropy,
@@ -88,14 +89,17 @@ class TestConv:
         x = rng.normal((3, 1, 384))
         w = np.zeros((32, 1, 64))
         w[:, 0, 31] = 1.0
-        out = _conv_apply(_conv_windows(x[:, 0, :], 64), w, np.zeros(32))
+        ws = Workspace()
+        out = _conv_apply(_conv_windows(x[:, 0, :], 64, ws), w, np.zeros(32), ws)
         for j in range(32):
             np.testing.assert_allclose(out[:, :, j], x[:, 0, :], atol=1e-12)
 
     def test_ones_kernel_constant_interior(self):
         c = 2.5
         x = np.full((1, 1, 384), c)
-        out = _conv_apply(_conv_windows(x[:, 0, :], 64), np.ones((1, 1, 64)), np.array([0.75]))
+        ws = Workspace()
+        out = _conv_apply(_conv_windows(x[:, 0, :], 64, ws), np.ones((1, 1, 64)),
+                          np.array([0.75]), ws)
         np.testing.assert_allclose(out[0, 32:320, 0], 64 * c + 0.75, atol=1e-9)
 
     def test_matches_naive(self):
@@ -103,7 +107,8 @@ class TestConv:
         x = rng.normal((2, 1, 20))
         w = rng.normal((3, 1, 5))
         b = rng.normal((3,))
-        out = _conv_apply(_conv_windows(x[:, 0, :], 5), w, b)  # [B, n, K]
+        ws = Workspace()
+        out = _conv_apply(_conv_windows(x[:, 0, :], 5, ws), w, b, ws)  # [B, n, K]
         np.testing.assert_allclose(out, naive_conv(x, w, b).transpose(0, 2, 1), atol=1e-12)
 
     def test_shape_mismatch(self):
@@ -121,14 +126,14 @@ class TestBatchNorm:
     def test_train_standardizes(self):
         rng = Rng(2)
         x = rng.normal((4, 384, 32), mean=3.0, std=2.0)
-        out = _batchnorm_train(x, np.ones(32), np.zeros(32))[0]
+        out = _batchnorm_train(x, np.ones(32), np.zeros(32), Workspace())[0]
         np.testing.assert_allclose(out.mean(axis=(0, 1)), 0.0, atol=1e-6)
         np.testing.assert_allclose(out.var(axis=(0, 1)), 1.0, atol=1e-4)
 
     def test_zero_variance_channel(self):
         x = np.full((3, 16, 2), 5.0)
         beta = np.array([0.25, -0.5])
-        out = _batchnorm_train(x, np.ones(2), beta)[0]
+        out = _batchnorm_train(x, np.ones(2), beta, Workspace())[0]
         np.testing.assert_allclose(out[:, :, 0], 0.25, atol=1e-3)
         np.testing.assert_allclose(out[:, :, 1], -0.5, atol=1e-3)
 
@@ -140,7 +145,7 @@ class TestBatchNorm:
 
     def test_single_sample_train_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            _batchnorm_train(np.zeros((1, 12, 4)), np.ones(4), np.zeros(4))
+            _batchnorm_train(np.zeros((1, 12, 4)), np.ones(4), np.zeros(4), Workspace())
 
     def test_running_update(self):
         p = init_params(Rng(1))
@@ -159,7 +164,7 @@ class TestElu:
         for x0 in (0.5, -0.5):
             x = np.array([x0])
             numeric = (elu(x + h) - elu(x - h)) / (2 * h)
-            analytic = _elu_backward(np.ones(1), elu(x))
+            analytic = _elu_backward(np.ones(1), elu(x), Workspace())
             np.testing.assert_allclose(analytic, numeric, atol=1e-8)
 
 
@@ -205,17 +210,18 @@ class TestBackwardMatchesReference:
     def test_elu_backward(self):
         for seed in range(3):
             x, _, dout, _ = self.inputs(seed)
-            assert_close_normwise(_elu_backward(dout, elu(x)), reference_elu_backward(dout, x))
+            assert_close_normwise(_elu_backward(dout, elu(x), Workspace()),
+                                  reference_elu_backward(dout, x))
 
     def test_batchnorm_backward(self):
         for seed in range(3):
             x, gamma, dout, beta = self.inputs(seed)
             # the production helpers take channels-last [B, n, K]
             x_cl, dout_cl = x.transpose(0, 2, 1), dout.transpose(0, 2, 1)
-            _, mean, var = _batchnorm_train(x_cl, gamma, beta)
+            _, mean, var = _batchnorm_train(x_cl, gamma, beta, Workspace())
             inv_std = 1.0 / np.sqrt(var + BN_EPS)
             xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
-            dx, dgamma, dbeta = _batchnorm_backward(dout_cl, x_cl, mean, var, gamma)
+            dx, dgamma, dbeta = _batchnorm_backward(dout_cl, x_cl, mean, var, gamma, Workspace())
             got = (dx.transpose(0, 2, 1), dgamma, dbeta)
             want = reference_batchnorm_backward(dout, xhat, inv_std, gamma)
             for g, w in zip(got, want):
@@ -328,6 +334,49 @@ def test_results_do_not_depend_on_blas_thread_count():
         outputs.append(run.stdout)
     assert len(outputs[0]) > 8 * 240 * 2
     assert outputs[0] == outputs[1]
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("setting, threads", [(None, "1"), ("2", "2")])
+def test_package_import_defaults_to_one_blas_thread(setting, threads):
+    src = str(Path(drowse.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    env["PYTHONPATH"] = src
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    run = subprocess.run(
+        [sys.executable, "-c", "import drowse, os; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert run.stdout.strip() == threads
+
+
+class TestWorkspace:
+    def test_reused_workspace_matches_fresh_calls(self):
+        data = generate_synthetic(4, 30, 2)
+        x = data.data[:, None, :].astype(np.float64)
+        y = data.labels.astype(np.int64)
+        p = perturbed_params(9)
+        ws = Workspace()
+        windows = []
+        # A full batch, a short final batch (leading-row views), a full one.
+        for start, rows in ((0, 50), (50, 20), (70, 50)):
+            part = slice(start, start + rows)
+            loss, grads, trace = model_gradients(x[part], y[part], p, NetConfig(), ws)
+            ref_loss, ref, _ = model_gradients(x[part], y[part], p)
+            assert loss == ref_loss
+            assert grads.keys() == ref.keys()
+            for name in grads:
+                np.testing.assert_array_equal(grads[name], ref[name], err_msg=name)
+            assert trace.conv_out.shape == (rows, 32, 384)
+            windows.append(trace.conv_windows)
+        assert np.shares_memory(windows[0], windows[1])
+        assert np.shares_memory(windows[0], windows[2])
+        probs, _ = model_forward(x, p, "eval", NetConfig(), ws)
+        ref_probs, _ = model_forward(x, p, "eval")
+        assert probs.shape == (240, 2)
+        np.testing.assert_array_equal(probs, ref_probs)
 
 
 class TestAvgPool:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from drowse.dataio import SampleSet, generate_synthetic
-from drowse.network import NetConfig, cross_entropy, init_params
+from drowse.network import NetConfig, Workspace, cross_entropy, init_params
 from drowse.numerics import Rng, paired_t_test
 from drowse.training import (
     AdamState,
@@ -125,16 +125,21 @@ class TestTrainConfig:
 
 class TestTrain:
     def test_same_seed_bit_identical(self):
+        # The second run shares one workspace between its steps (15, 15 and
+        # a short 10) and the evaluations between its epochs.
         data = generate_synthetic(2, 10, 3)
-        config = TrainConfig(max_epochs=2, batch_size=10)
-        runs = []
-        for _ in range(2):
+        config = TrainConfig(max_epochs=2, batch_size=15)
+        runs, accs = [], []
+        for ws in (None, Workspace()):
             params = init_params(Rng(5), SMALL_NET)
-            train(params, data, config, Rng(6), net_config=SMALL_NET)
+            accs.append([])
+            train(params, data, config, Rng(6), net_config=SMALL_NET, workspace=ws,
+                  on_epoch=lambda e, p, ml: accs[-1].append(evaluate(p, data, SMALL_NET, ws)))
             runs.append(params)
         for name in runs[0].__dataclass_fields__:
             np.testing.assert_array_equal(getattr(runs[0], name), getattr(runs[1], name),
                                           err_msg=name)
+        assert accs[0] == accs[1]
 
     def test_conv_bias_stays_at_its_initial_value(self):
         # Batch norm absorbs the conv bias: its gradient is exactly 0, so
