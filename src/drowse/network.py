@@ -8,8 +8,18 @@ running class likelihood (see the interpret module).
 
 All gradients are analytic, derived for this fixed graph, including
 backpropagation through time over the LSTM and through the batch
-statistics of the normalization layer. Arrays are float64 in memory;
-model files store binary32.
+statistics of the normalization layer. Model files store binary32, and
+ModelParams holds float64.
+
+model_forward and model_gradients compute in the dtype
+np.result_type(input dtype, float32): float32 input (the samples of a
+SampleSet) runs in float32, float64 or int64 input runs in float64. The
+code path is the same for both: each call casts the parameters to that
+dtype once (astype without copy, so the float64 path copies nothing), the
+workspace buffers and the LSTM arrays take it, and the float32 path
+returns float32 trace arrays and gradients. The final softmax, the
+probabilities and the loss are float64 for either. The public
+single-layer functions batchnorm_eval, elu and avgpool compute in float64.
 
 batchnorm_eval serves both modes: it standardizes with the statistics it
 is given, running ones in eval mode and batch ones in train mode. The
@@ -135,6 +145,16 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams(**{f.name: getattr(self, f.name).copy() for f in fields(self)})
 
+    def astype(self, dtype) -> "ModelParams":
+        """The tensors in ``dtype``; those already in it are shared, not copied."""
+        return ModelParams(**{f.name: getattr(self, f.name).astype(dtype, copy=False)
+                              for f in fields(self)})
+
+
+def _compute_dtype(x: np.ndarray) -> np.dtype:
+    # float32 stays float32; float64 and integer input compute in float64.
+    return np.result_type(x.dtype, np.float32)
+
 
 def expected_shapes(config: NetConfig) -> dict[str, tuple[int, ...]]:
     k, length, d = config.kernels, config.kernel_len, config.n_classes
@@ -180,20 +200,21 @@ def init_params(rng: Rng, config: NetConfig = NetConfig()) -> ModelParams:
 
 
 class Workspace:
-    """Named float64 buffers reused across calls of model_forward and
+    """Named buffers reused across calls of model_forward and
     model_gradients. A buffer is allocated on first use and again only when
-    a batch has more rows than it holds; a batch with fewer rows gets a
-    view of its leading rows. Arrays computed into a workspace, including a
-    ForwardTrace's, are overwritten by its next use."""
+    a batch has more rows than it holds or another dtype; a batch with
+    fewer rows gets a view of its leading rows. Arrays computed into a
+    workspace, including a ForwardTrace's, are overwritten by its next use."""
 
     def __init__(self):
         self._buffers: dict[str, np.ndarray] = {}
 
-    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """A C-contiguous array of the given shape backed by buffer `name`."""
+    def take(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """A C-contiguous array of the given shape and dtype backed by buffer `name`."""
         buf = self._buffers.get(name)
-        if buf is None or buf.shape[0] < shape[0] or buf.shape[1:] != tuple(shape[1:]):
-            buf = self._buffers[name] = np.empty(shape)
+        if (buf is None or buf.dtype != dtype or buf.shape[0] < shape[0]
+                or buf.shape[1:] != tuple(shape[1:])):
+            buf = self._buffers[name] = np.empty(shape, dtype)
         return buf[:shape[0]]
 
 
@@ -206,11 +227,11 @@ def _conv_windows(x2: np.ndarray, kernel_len: int, ws: Workspace) -> np.ndarray:
     # x2: [B, n] -> contiguous [B, n, kernel_len] windows of the padded signal.
     batch, n = x2.shape
     left = (kernel_len - 1) // 2
-    xpad = ws.take("xpad", (batch, n + kernel_len - 1))
+    xpad = ws.take("xpad", (batch, n + kernel_len - 1), x2.dtype)
     xpad[:, :left] = 0.0
     xpad[:, left:left + n] = x2
     xpad[:, left + n:] = 0.0
-    windows = ws.take("windows", (batch, n, kernel_len))
+    windows = ws.take("windows", (batch, n, kernel_len), x2.dtype)
     np.copyto(windows, np.lib.stride_tricks.sliding_window_view(xpad, kernel_len, axis=1))
     return windows
 
@@ -218,7 +239,7 @@ def _conv_windows(x2: np.ndarray, kernel_len: int, ws: Workspace) -> np.ndarray:
 def _conv_apply(windows: np.ndarray, w: np.ndarray, b: np.ndarray, ws: Workspace) -> np.ndarray:
     # Correlate [B, n, L] windows with kernels [K, 1, L], add bias -> [B, n, K].
     batch, n, length = windows.shape
-    out = ws.take("conv", (batch, n, w.shape[0]))
+    out = ws.take("conv", (batch, n, w.shape[0]), windows.dtype)
     np.matmul(windows.reshape(batch * n, length), w[:, 0, :].T, out=out.reshape(batch * n, -1))
     out += b
     return out
@@ -253,10 +274,10 @@ def _batchnorm_train(x, gamma, beta, ws: Workspace):
     if x.shape[0] < 2:
         raise ValueError("batch norm in train mode needs a batch of at least 2")
     mean = x.mean(axis=(0, 1))
-    centered = np.subtract(x, mean, out=ws.take("bn", x.shape))
+    centered = np.subtract(x, mean, out=ws.take("bn", x.shape, x.dtype))
     # Population variance over batch x time, by np.var's own steps (so with
     # its bits) on the x - mean buffer that the output is then built in.
-    var = np.square(centered, out=ws.take("tmp", x.shape)).sum(axis=(0, 1)) / (
+    var = np.square(centered, out=ws.take("tmp", x.shape, x.dtype)).sum(axis=(0, 1)) / (
         x.shape[0] * x.shape[1])
     return _batchnorm(centered, gamma, beta, var), mean, var
 
@@ -270,9 +291,9 @@ def updated_running_stats(params: ModelParams, batch_mean, batch_var):
 def _batchnorm_backward(dout, x, mean, var, gamma, ws: Workspace):
     # Channels-last [B, n, K]; dx is built in place in the xhat buffer.
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = np.subtract(x, mean, out=ws.take("xhat", x.shape))
+    xhat = np.subtract(x, mean, out=ws.take("xhat", x.shape, x.dtype))
     xhat *= inv_std
-    dgamma = np.sum(np.multiply(dout, xhat, out=ws.take("tmp", x.shape)), axis=(0, 1))
+    dgamma = np.sum(np.multiply(dout, xhat, out=ws.take("tmp", x.shape, x.dtype)), axis=(0, 1))
     dbeta = np.sum(dout, axis=(0, 1))
     xhat *= dgamma
     xhat += dbeta
@@ -299,7 +320,7 @@ def elu(x: np.ndarray) -> np.ndarray:
 
 def _elu_backward(dout, elu_out, ws: Workspace):
     # dout may broadcast against elu_out; the result has elu_out's shape.
-    grad = np.minimum(elu_out, 0.0, out=ws.take("slope", elu_out.shape))
+    grad = np.minimum(elu_out, 0.0, out=ws.take("slope", elu_out.shape, elu_out.dtype))
     grad += 1.0
     grad *= dout
     return grad
@@ -333,19 +354,23 @@ def lstm_forward(xs: np.ndarray, params: ModelParams) -> tuple[np.ndarray, LstmC
     from zero initial hidden and cell states.
 
     Returns the hidden-state sequence h_1..h_T as [T, B, D] plus the cache
-    needed for backpropagation through time.
+    needed for backpropagation through time, computed in the dtype that
+    model_forward would use for the same input.
     """
-    xs = np.asarray(xs, dtype=np.float64)
+    xs = np.asarray(xs)
+    dtype = _compute_dtype(xs)
+    xs = xs.astype(dtype, copy=False)
+    params = params.astype(dtype)
     batch, steps, _ = xs.shape
     d = params.lstm_u.shape[1]
     proj = xs.reshape(batch * steps, -1) @ params.lstm_w.T + params.lstm_b  # input part of all gates
     proj = proj.reshape(batch, steps, 4 * d)
 
-    gates = np.empty((steps, batch, 4 * d))
-    c_seq = np.empty((steps, batch, d))
-    tanh_c = np.empty((steps, batch, d))
-    h_seq = np.zeros((steps + 1, batch, d))
-    c = np.zeros((batch, d))
+    gates = np.empty((steps, batch, 4 * d), dtype)
+    c_seq = np.empty((steps, batch, d), dtype)
+    tanh_c = np.empty((steps, batch, d), dtype)
+    h_seq = np.zeros((steps + 1, batch, d), dtype)
+    c = np.zeros((batch, d), dtype)
     for t in range(steps):
         a = proj[:, t, :] + h_seq[t] @ params.lstm_u.T
         gates[t] = sigmoid(a)  # i, f and o; the g block is overwritten next
@@ -362,7 +387,8 @@ def lstm_forward(xs: np.ndarray, params: ModelParams) -> tuple[np.ndarray, LstmC
 def _lstm_backward(dh_last: np.ndarray, cache: LstmCache, params: ModelParams):
     # Backpropagation through time. Only the recurrence runs step by step;
     # the parameter gradients and the input gradient are one matmul each
-    # over the pre-activation gradients of all T * B rows.
+    # over the pre-activation gradients of all T * B rows. dh_last and
+    # params are in the cache's dtype.
     xs = cache.xs
     batch, steps, k = xs.shape
     d = dh_last.shape[1]
@@ -371,7 +397,7 @@ def _lstm_backward(dh_last: np.ndarray, cache: LstmCache, params: ModelParams):
     c_prev[1:] = cache.c[:-1]
     # Gradient of each gate's pre-activation per unit of the cell gradient
     # (blocks i, f, g) or of the hidden-state gradient (block o).
-    local = np.empty((steps, batch, 4, d))
+    local = np.empty((steps, batch, 4, d), xs.dtype)
     local[:, :, 0] = g * i * (1.0 - i)
     local[:, :, 1] = c_prev * f * (1.0 - f)
     local[:, :, 2] = i * (1.0 - g * g)
@@ -379,7 +405,7 @@ def _lstm_backward(dh_last: np.ndarray, cache: LstmCache, params: ModelParams):
     dh_dc = o * (1.0 - cache.tanh_c * cache.tanh_c)
     da = np.empty_like(local)
     dh = dh_last
-    dc = np.zeros((batch, d))
+    dc = np.zeros((batch, d), xs.dtype)
     for t in range(steps - 1, -1, -1):
         dc = dc + dh * dh_dc[t]
         da[t, :, :3] = dc[:, None, :] * local[t, :, :3]
@@ -418,13 +444,16 @@ def model_forward(
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Full forward pass over a [B, 1, n] batch.
 
-    Returns per-class probabilities [B, n_classes] (rows sum to 1) and the
-    forward trace. Pure: running statistics are not touched; train-mode
-    batch statistics are reported in the trace for the caller. The
-    activations are computed into ``workspace`` (a fresh one when None),
-    and the trace is valid until that workspace's next use.
+    Returns per-class probabilities [B, n_classes] (rows sum to 1, float64)
+    and the forward trace. Pure: running statistics are not touched;
+    train-mode batch statistics are reported in the trace for the caller.
+    The activations are computed in float32 for float32 input and in
+    float64 otherwise, into ``workspace`` (a fresh one when None), and the
+    trace is valid until that workspace's next use.
     """
-    x = np.asarray(batch, dtype=np.float64)
+    x = np.asarray(batch)
+    dtype = _compute_dtype(x)
+    x = x.astype(dtype, copy=False)
     if x.ndim != 3 or x.shape[1] != 1 or x.shape[2] != config.n_samples:
         raise ValueError(f"expected batch [B, 1, {config.n_samples}], got {x.shape}")
     shapes = expected_shapes(config)
@@ -436,6 +465,7 @@ def model_forward(
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
 
+    params = params.astype(dtype)
     ws = Workspace() if workspace is None else workspace
     windows = _conv_windows(x[:, 0, :], config.kernel_len, ws)
     conv_out = _conv_apply(windows, params.conv_w, params.conv_b, ws)  # [B, n, K]
@@ -443,12 +473,13 @@ def model_forward(
     if mode == "train":
         bn_out, mean, var = _batchnorm_train(conv_out, params.bn_gamma, params.bn_beta, ws)
     else:
-        bn_out = _batchnorm(np.subtract(conv_out, params.bn_run_mean, out=ws.take("bn", shape)),
+        bn_out = _batchnorm(np.subtract(conv_out, params.bn_run_mean,
+                                        out=ws.take("bn", shape, dtype)),
                             params.bn_gamma, params.bn_beta, params.bn_run_var)
         mean = var = None
-    elu_out = _elu(bn_out, ws.take("elu", shape), ws.take("tmp", shape))
+    elu_out = _elu(bn_out, ws.take("elu", shape, dtype), ws.take("tmp", shape, dtype))
     lstm_in = _avgpool(elu_out, config.pool,
-                       ws.take("pool", (shape[0], config.seq_len, shape[2])))  # [B, T, K]
+                       ws.take("pool", (shape[0], config.seq_len, shape[2]), dtype))  # [B, T, K]
     hidden, lstm_cache = lstm_forward(lstm_in, params)
     probs = softmax_rows(hidden[-1])
     trace = ForwardTrace(
@@ -484,10 +515,11 @@ def model_gradients(
     """Mean cross-entropy loss and its exact gradients for one train batch.
 
     Gradients are returned as a dict keyed by parameter attribute name
-    (running statistics excluded). The trace is included so the training
-    loop can update running statistics from the batch statistics. The
-    activations and their gradients are computed into ``workspace`` (a
-    fresh one when None); the returned gradients are fresh arrays.
+    (running statistics excluded), in the compute dtype of model_forward.
+    The trace is included so the training loop can update running
+    statistics from the batch statistics. The activations and their
+    gradients are computed into ``workspace`` (a fresh one when None); the
+    returned gradients are fresh arrays.
     """
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.shape[0] != np.shape(batch)[0]:
@@ -495,6 +527,7 @@ def model_gradients(
     if labels.min() < 0 or labels.max() >= config.n_classes:
         raise ValueError("labels out of range")
     ws = Workspace() if workspace is None else workspace
+    params = params.astype(_compute_dtype(np.asarray(batch)))
     probs, trace = model_forward(batch, params, "train", config, ws)
     loss = cross_entropy(probs, labels)
     if not np.isfinite(loss):
@@ -503,7 +536,8 @@ def model_gradients(
     b = probs.shape[0]
     onehot = np.zeros_like(probs)
     onehot[np.arange(b), labels] = 1.0
-    dh_last = (probs - onehot) / b  # softmax + cross-entropy identity
+    # Softmax + cross-entropy identity, from the float64 probabilities.
+    dh_last = ((probs - onehot) / b).astype(params.lstm_u.dtype)
 
     dxs, lstm_grads = _lstm_backward(dh_last, trace.lstm_cache, params)  # [B, T, K]
     elu_out = trace.elu_out.transpose(0, 2, 1)  # channels-last [B, n, K]

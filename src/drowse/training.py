@@ -11,22 +11,31 @@ At threads > 1 the folds run in a pool of worker processes started with
 the spawn method: each worker is a fresh interpreter, never a fork of a
 parent whose BLAS threads already exist, and it inherits the parent's
 environment, so one BLAS thread (see the package docstring). The pool
-initializer hands each worker the dataset and both configs once; a job is
-only its (subject, repeat) pair. At threads == 1 the folds run in the
-calling process. Each process running folds, the caller or a worker,
-computes every training step and evaluation of all its folds into one
-network Workspace, so its buffers are mapped once per process rather than
-once per step or fold.
+initializer hands each worker both configs and the path of a temporary
+.eegd copy of the dataset, which the worker reads once; a job is only its
+(subject, repeat) pair. The samples stay out of the pipe through which
+the parent sends a spawned worker its start-up state: the parent holds
+that pipe's read end until its write returns, so a write larger than the
+pipe buffer to a worker that died while bootstrapping (as one importing
+an unguarded script does) would block for good. A worker that dies early
+breaks the pool with BrokenProcessPool instead. At threads == 1 the folds
+run in the calling process. Each process running folds, the caller or a
+worker, computes every training step and evaluation of all its folds into
+one network Workspace, so its buffers are mapped once per process rather
+than once per step or fold.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import read_sampleset, write_sampleset
 from .network import (
     NetConfig,
     Workspace,
@@ -108,11 +117,13 @@ def train(params, train_set, config: TrainConfig, rng: Rng, on_epoch=None,
     updated after every batch.  ``on_epoch(epoch, params, mean_loss)`` is
     called after each epoch with 1-based epoch numbers.  Every step
     computes into ``workspace`` (one fresh for this call when None), which
-    holds nothing between steps, so ``on_epoch`` may use it too.  Returns
-    params after the final epoch.
+    holds nothing between steps, so ``on_epoch`` may use it too.  The
+    network computes in the samples' dtype, float32 for a SampleSet;
+    params and the Adam moments stay float64 and take the float32
+    gradients.  Returns params after the final epoch.
     """
     net_config = net_config or NetConfig()
-    x = train_set.data.astype(np.float64)[:, None, :]
+    x = train_set.data[:, None, :]
     y = train_set.labels.astype(np.int64)
     n = x.shape[0]
     if n == 0:
@@ -142,13 +153,13 @@ def train(params, train_set, config: TrainConfig, rng: Rng, on_epoch=None,
 def evaluate(params, test_set, net_config: NetConfig | None = None,
              workspace: Workspace | None = None) -> float:
     """Eval-mode accuracy; an exactly tied posterior predicts label 0.
-    Every chunk computes into ``workspace`` (one fresh for this call when
-    None)."""
+    Every chunk computes in the samples' dtype (float32 for a SampleSet)
+    into ``workspace`` (one fresh for this call when None)."""
     net_config = net_config or NetConfig()
     n = len(test_set)
     if n == 0:
         raise ValueError("empty test set")
-    x = test_set.data.astype(np.float64)[:, None, :]
+    x = test_set.data[:, None, :]
     y = test_set.labels.astype(np.int64)
     correct = 0
     ws = Workspace() if workspace is None else workspace
@@ -211,9 +222,9 @@ def _fold_job(data, config, net_config, ws, subject, repeat):
 _worker_inputs = None
 
 
-def _start_worker(data, config, net_config):
+def _start_worker(data_path, config, net_config):
     global _worker_inputs
-    _worker_inputs = (data, config, net_config, Workspace())
+    _worker_inputs = (read_sampleset(data_path), config, net_config, Workspace())
 
 
 def _worker_fold_job(job):
@@ -228,18 +239,29 @@ def run_loso(data, config: TrainConfig, threads: int = 1,
     from (config.seed, subject, repeat), so results are independent of both
     scheduling and thread count. At threads > 1 the workers are spawned, so
     they import the caller's main module: a script that calls this must
-    keep its own work under ``if __name__ == "__main__":``.
+    keep its own work under ``if __name__ == "__main__":``. A call made
+    while a spawned worker imports that module raises RuntimeError.
     """
     subjects = data.subject_ids()
     if len(subjects) < 2:
         raise ValueError("leave-one-subject-out needs at least 2 subjects")
     jobs = [(subject, repeat) for subject in subjects for repeat in range(1, config.repeats + 1)]
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=min(threads, len(jobs)),
-                                 mp_context=multiprocessing.get_context("spawn"),
-                                 initializer=_start_worker,
-                                 initargs=(data, config, net_config)) as pool:
-            results = list(pool.map(_worker_fold_job, jobs))
+        # multiprocessing marks a spawned process as inheriting until its
+        # bootstrap, which imports the parent's main module, is over.
+        if getattr(multiprocessing.current_process(), "_inheriting", False):
+            raise RuntimeError(
+                "run_loso(threads > 1) was called while a spawned worker was importing "
+                "the main module; put the script's own work under "
+                "'if __name__ == \"__main__\":'")
+        with tempfile.TemporaryDirectory(prefix="drowse-loso-") as tmp:
+            data_path = os.path.join(tmp, "data.eegd")
+            write_sampleset(data, data_path)
+            with ProcessPoolExecutor(max_workers=min(threads, len(jobs)),
+                                     mp_context=multiprocessing.get_context("spawn"),
+                                     initializer=_start_worker,
+                                     initargs=(data_path, config, net_config)) as pool:
+                results = list(pool.map(_worker_fold_job, jobs))
     else:
         ws = Workspace()
         results = [_fold_job(data, config, net_config, ws, *job) for job in jobs]

@@ -308,6 +308,39 @@ class TestChannelsLastLayout:
                                       trace.hidden)
 
 
+class TestComputeDtype:
+    def test_float32_gradients_agree_with_float64(self):
+        x, y = TestChannelsLastLayout().batch50()
+        p = perturbed_params(7)
+        loss64, ref, _ = model_gradients(x, y, p)
+        loss32, grads, _ = model_gradients(x.astype(np.float32), y, p)
+        assert abs(loss32 - loss64) <= 1e-6 * loss64
+        for name in ref:
+            err = np.abs(grads[name].astype(np.float64) - ref[name]).max()
+            assert err <= 1e-4 * np.abs(ref[name]).max(), name
+
+    @pytest.mark.parametrize("dtype, compute", [
+        (np.float32, np.float32), (np.float64, np.float64), (np.int64, np.float64)])
+    def test_trace_and_gradients_follow_the_input(self, dtype, compute):
+        rng = Rng(31)
+        x = np.round(rng.normal((6, 1, REDUCED.n_samples), std=20.0)).astype(dtype)
+        y = np.array([0, 1, 0, 1, 1, 0])
+        p = init_params(rng, REDUCED)
+        _, grads, trace = model_gradients(x, y, p, REDUCED)
+        arrays = {name: getattr(trace, name) for name in (
+            "conv_windows", "conv_out", "bn_out", "bn_mean", "bn_var", "elu_out", "pool_out",
+            "hidden")}
+        arrays.update((f"lstm_cache.{name}", getattr(trace.lstm_cache, name))
+                      for name in ("xs", "gates", "c", "tanh_c", "h"))
+        for name, array in {**arrays, **grads}.items():
+            assert array.dtype == compute, name
+        eval_probs, eval_trace = model_forward(x, p, "eval", REDUCED)
+        assert eval_trace.hidden.dtype == compute
+        # The softmax, and so the probabilities, stay float64; so do params.
+        assert trace.probs.dtype == eval_probs.dtype == np.float64
+        assert all(tensor.dtype == np.float64 for _, tensor in p.learnable_items())
+
+
 BLAS_CHILD = """
 import sys
 import numpy as np
@@ -377,6 +410,23 @@ class TestWorkspace:
         ref_probs, _ = model_forward(x, p, "eval")
         assert probs.shape == (240, 2)
         np.testing.assert_array_equal(probs, ref_probs)
+
+    def test_alternating_dtypes_match_fresh_calls(self):
+        data = generate_synthetic(4, 30, 3)
+        y = data.labels[:50].astype(np.int64)
+        p = perturbed_params(10)
+        ws = Workspace()
+        for dtype in (np.float32, np.float64, np.float32, np.float64):
+            x = data.data[:50, None, :].astype(dtype)
+            loss, grads, trace = model_gradients(x, y, p, NetConfig(), ws)
+            ref_loss, ref, ref_trace = model_gradients(x, y, p)
+            assert loss == ref_loss
+            for name in grads:
+                assert grads[name].dtype == ref[name].dtype == dtype
+                np.testing.assert_array_equal(grads[name], ref[name], err_msg=name)
+            np.testing.assert_array_equal(trace.hidden, ref_trace.hidden)
+            probs, _ = model_forward(x, p, "eval", NetConfig(), ws)
+            np.testing.assert_array_equal(probs, model_forward(x, p, "eval")[0])
 
 
 class TestAvgPool:

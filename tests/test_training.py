@@ -1,8 +1,15 @@
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import drowse
 from drowse.dataio import SampleSet, generate_synthetic
 from drowse.network import NetConfig, Workspace, cross_entropy, init_params
 from drowse.numerics import Rng, paired_t_test
@@ -247,6 +254,47 @@ class TestLoso:
         data = toy_set([0, 1] * 6)
         with pytest.raises(ValueError, match="at least 2 subjects"):
             run_loso(data, TrainConfig(max_epochs=1, repeats=1))
+
+
+UNGUARDED_SCRIPT = """
+from drowse.dataio import generate_synthetic
+from drowse.training import TrainConfig, run_loso
+
+run_loso(generate_synthetic(3, 10, 101), TrainConfig(max_epochs=1), threads=2)
+"""
+
+
+def test_unguarded_pool_script_fails_fast(tmp_path):
+    # Each spawned worker imports the script as its main module, so without
+    # an `if __name__ == "__main__":` guard it calls run_loso while it is
+    # still bootstrapping. The script must fail fast, say why and leave no
+    # process of its session running.
+    script = tmp_path / "unguarded.py"
+    script.write_text(UNGUARDED_SCRIPT)
+    env = dict(os.environ, PYTHONPATH=str(Path(drowse.__file__).resolve().parents[1]))
+    start = time.monotonic()
+    child = subprocess.Popen([sys.executable, str(script)], env=env, stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        _, stderr = child.communicate(timeout=90)
+        elapsed = time.monotonic() - start
+        deadline = time.monotonic() + 10
+        while True:
+            try:
+                os.killpg(child.pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "processes of the script left running"
+            time.sleep(0.1)
+    finally:
+        try:
+            os.killpg(child.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        child.communicate()
+    assert child.returncode != 0
+    assert elapsed < 30
+    assert 'if __name__ == "__main__":' in stderr
 
 
 class TestLearningGuard:
