@@ -9,13 +9,14 @@ so fit+predict is a pure function of the data.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dataio import SAMPLE_POINTS, SAMPLE_RATE_HZ
-from .numerics import dft_power, sigmoid
+from .dataio import SAMPLE_POINTS, SAMPLE_RATE_HZ, loso_subject_ids
+from .numerics import Workspace, dft_power, sigmoid
 
 SEGMENT = 128
 BANDS = (("delta", 1.0, 4.0), ("theta", 4.0, 8.0),
@@ -107,6 +108,18 @@ def spectral_entropy(x: np.ndarray) -> float:
 
 # -- entropies -----------------------------------------------------------------
 
+# The [n, n] distance and mask buffers of the entropy functions, reused
+# across samples and calls. The functions write into them, so each thread
+# has its own.
+_entropy_buffers = threading.local()
+
+
+def _entropy_workspace() -> Workspace:
+    if not hasattr(_entropy_buffers, "workspace"):
+        _entropy_buffers.workspace = Workspace()
+    return _entropy_buffers.workspace
+
+
 def _validate_entropy_input(x: np.ndarray, m: int) -> np.ndarray:
     if m < 1:
         raise ValueError(f"template length m must be at least 1, got {m}")
@@ -116,30 +129,54 @@ def _validate_entropy_input(x: np.ndarray, m: int) -> np.ndarray:
     return x
 
 
+def _abs_differences(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i, j] = |values[i] - values[j]|, computed in place in `out`.
+
+    out holds values[j] - values[i] before the abs, whose magnitude is the
+    same double; writing it in place is faster than an outer subtraction
+    into a separate destination.
+    """
+    np.copyto(out, values)
+    np.subtract(out, values[:, None], out=out)
+    return np.abs(out, out=out)
+
+
 def _lagwise_chebyshev(templates: np.ndarray) -> np.ndarray:
     """[N, N] Chebyshev distances between the rows of [N, mm] templates.
 
-    Built one lag at a time, d = max_k |t[i, k] - t[j, k]|, so no [N, N, mm]
-    difference array exists; max and abs are exact, so the values equal the
-    broadcast formulation bit for bit.
+    Built one lag at a time, d = max_k |t[i, k] - t[j, k]|, in the "dist"
+    buffer of the thread's entropy workspace, each lag's differences in its
+    "lag" buffer: no [N, N, mm] difference array exists, and no [N, N]
+    array is allocated once the buffers are large enough. The result is an
+    exactly sized C-contiguous array, so its sum adds in the same order as
+    a fresh array's. max and abs are exact, so the values equal the
+    broadcast formulation bit for bit. The next call overwrites the result.
     """
-    col = templates[:, 0]
-    d = np.abs(col[:, None] - col[None, :])
+    n = templates.shape[0]
+    ws = _entropy_workspace()
+    dist = _abs_differences(templates[:, 0], ws.take("dist", (n, n), np.float64))
+    lag = ws.take("lag", (n, n), np.float64)
     for k in range(1, templates.shape[1]):
-        col = templates[:, k]
-        np.maximum(d, np.abs(col[:, None] - col[None, :]), out=d)
-    return d
+        np.maximum(dist, _abs_differences(templates[:, k], lag), out=dist)
+    return dist
 
 
 def _sample_and_approximate_entropy(x: np.ndarray, m: int, r: float | None) -> tuple:
     """(SampEn, ApEn) from one pair of Chebyshev match masks.
 
-    The length-m distances d_m come lag by lag over all n-m+1 templates; the
-    length-(m+1) ones follow from the recursion
-    d_{m+1}[i, j] = max(d_m[i, j], |x[i+m] - x[j+m]|) over the first n-m.
-    ApEn counts each mask in full (self-matches included); SampEn counts the
-    first n-m rows and columns of each (self-matches dropped), as Richman &
-    Moorman 2000 define it. Sharing the masks follows Manis 2008.
+    Every template distance is built from one [n, n] matrix
+    A[i, j] = |x[i] - x[j]|: the length-m distance between templates i and
+    j is max_k A[i+k, j+k] over k < m, so d_m is the elementwise max of the
+    diagonal-shifted blocks A[k:k+N, k:k+N] over the N = n-m+1 templates,
+    and d_{m+1} = max(d_m[:-1, :-1], A[m:, m:]) over the first n-m. A max
+    is within r exactly when each of its terms is, so the code takes the
+    same shifted blocks of the mask A <= r and ANDs them: within_m is
+    d_m <= r and within_m1 = within_m[:-1, :-1] & (A <= r)[m:, m:] is
+    d_{m+1} <= r, with the same match counts. One subtraction pass serves
+    every lag, and no [N, N, mm] array exists. ApEn counts each mask in
+    full (self-matches included); SampEn counts the first n-m rows and
+    columns of each (self-matches dropped), as Richman & Moorman 2000
+    define it. Sharing the masks follows Manis 2008.
     """
     x = _validate_entropy_input(x, m)
     sd = float(x.std())
@@ -147,19 +184,25 @@ def _sample_and_approximate_entropy(x: np.ndarray, m: int, r: float | None) -> t
         return 0.0, 0.0
     if r is None:
         r = 0.2 * sd
-    n_templates = x.size - m
-    d_m = _lagwise_chebyshev(sliding_window_view(x, m))
-    tail = x[m:]
-    d_m1 = np.maximum(d_m[:-1, :-1], np.abs(tail[:, None] - tail[None, :]))
-    within_m = d_m <= r
-    within_m1 = d_m1 <= r
+    n = x.size
+    n_templates = n - m
+    count = n_templates + 1  # templates of length m
+    ws = _entropy_workspace()
+    close = ws.take("close", (n, n), np.bool_)
+    np.less_equal(_abs_differences(x, ws.take("dist", (n, n), np.float64)), r, out=close)
+    within_m = ws.take("within_m", (count, count), np.bool_)
+    np.copyto(within_m, close[:count, :count])
+    for k in range(1, m):
+        within_m &= close[k:k + count, k:k + count]
+    within_m1 = ws.take("within_m1", (n_templates, n_templates), np.bool_)
+    np.logical_and(within_m[:-1, :-1], close[m:, m:], out=within_m1)
 
-    b = within_m[:-1, :-1].sum() - n_templates  # drop the diagonal
-    a = within_m1.sum() - n_templates
+    b = np.count_nonzero(within_m[:-1, :-1]) - n_templates  # drop the diagonal
+    a = np.count_nonzero(within_m1) - n_templates
     sampen = float(-np.log(max(a, 0.5) / max(b, 0.5)))
 
     def phi(within):
-        return np.mean(np.log(within.sum(axis=1) / within.shape[0]))
+        return np.mean(np.log(np.count_nonzero(within, axis=1) / within.shape[0]))
 
     return sampen, float(phi(within_m) - phi(within_m1))
 
@@ -189,7 +232,10 @@ def fuzzy_entropy(x: np.ndarray, m: int = 2, r: float | None = None,
     Templates are baseline-removed (their own mean subtracted) before the
     Chebyshev distance; both template lengths use n-m templates. The mean
     removal differs between lengths, so each length builds its own distance
-    matrix lag by lag instead of using the SampEn/ApEn recursion.
+    matrix lag by lag instead of using the SampEn/ApEn shifted blocks. The
+    similarity is computed in place in that matrix; dividing by -r gives
+    the bits of negating and then dividing by r, since rounding is
+    symmetric in sign.
     """
     x = _validate_entropy_input(x, m)
     sd = float(x.std())
@@ -202,7 +248,10 @@ def fuzzy_entropy(x: np.ndarray, m: int = 2, r: float | None = None,
     def phi(mm):
         templates = sliding_window_view(x, mm)[:n_templates]
         templates = templates - templates.mean(axis=1, keepdims=True)
-        mu = np.exp(-(_lagwise_chebyshev(templates) ** width) / r)
+        mu = _lagwise_chebyshev(templates)
+        mu **= width
+        np.divide(mu, -r, out=mu)
+        np.exp(mu, out=mu)
         return (mu.sum() - n_templates) / (n_templates * (n_templates - 1))
 
     return float(np.log(phi(m)) - np.log(phi(m + 1)))
@@ -365,9 +414,7 @@ def loso_accuracies(features: np.ndarray, labels, subjects, clf_kind: str,
     """Leave-one-subject-out accuracy per subject for one feature matrix."""
     labels = np.asarray(labels, dtype=np.int64)
     subjects = np.asarray(subjects)
-    subject_ids = sorted(int(s) for s in np.unique(subjects))
-    if len(subject_ids) < 2:
-        raise ValueError("leave-one-subject-out needs at least 2 subjects")
+    subject_ids = loso_subject_ids(subjects)
     accs = []
     for sid in subject_ids:
         test = subjects == sid

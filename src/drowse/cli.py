@@ -15,7 +15,9 @@ import sys
 
 import numpy as np
 
-from . import baselines, dataio, interpret, network, training
+# Each subcommand imports the modules it runs; baselines is imported here
+# for its classifier list, which the parser's choices need.
+from . import baselines, dataio
 from .numerics import Rng
 
 FEATURE_KINDS = {
@@ -108,7 +110,9 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _train_config(args, **extra) -> training.TrainConfig:
+def _train_config(args, **extra):
+    from . import training
+
     try:
         return training.TrainConfig(batch_size=args.batch, max_epochs=args.epochs,
                                     seed=args.seed, **extra)
@@ -117,6 +121,8 @@ def _train_config(args, **extra) -> training.TrainConfig:
 
 
 def cmd_train(args) -> int:
+    from . import network, training
+
     config = _train_config(args)
     data = dataio.read_sampleset(args.data)
     base = Rng(config.seed)
@@ -133,6 +139,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_loso(args) -> int:
+    from . import training
+
     config = _train_config(args, repeats=args.repeats)
     threads = _resolve_threads(args.threads)
     data = dataio.read_sampleset(args.data)
@@ -151,6 +159,8 @@ def cmd_loso(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    from . import interpret, network
+
     data = dataio.read_sampleset(args.data)
     params = network.load_params(args.model)
     if not 0 <= args.sample < len(data):
@@ -179,6 +189,7 @@ def _write_baseline_csv(subject_ids, accuracies, path) -> None:
 
 def cmd_baseline(args) -> int:
     data = dataio.read_sampleset(args.data)
+    dataio.loso_subject_ids(data.subjects)  # before any feature is computed
     kind = FEATURE_KINDS[args.features]
     features = baselines.feature_matrix(data.data, kind)
     subject_ids, accuracies = baselines.loso_accuracies(

@@ -133,6 +133,14 @@ class SampleSet:
         return int(mask.sum()) - n_drowsy, n_drowsy
 
 
+def loso_subject_ids(subjects) -> list:
+    """Sorted distinct subject ids, at least the 2 leave-one-subject-out needs."""
+    subject_ids = sorted(int(s) for s in np.unique(subjects))
+    if len(subject_ids) < 2:
+        raise ValueError("leave-one-subject-out needs at least 2 subjects")
+    return subject_ids
+
+
 @dataclass
 class SessionRecord:
     """Continuous single-channel recording with lane-departure events.

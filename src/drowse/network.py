@@ -40,8 +40,9 @@ conv bias gets an exact zero gradient: batch norm subtracts each
 channel's batch mean, which absorbs it.
 
 The forward and backward passes write every [B, n, L] window array and
-every [B, n, K] activation, gradient and temporary into a Workspace, which
-allocates each buffer once and hands a shorter batch its leading rows, so
+every [B, n, K] activation, gradient and temporary into a Workspace (from
+numerics), which allocates each buffer once and hands a shorter batch the
+leading rows of its memory, so
 the steps of a training run after its first map no fresh pages for them.
 Only the destinations of the ufuncs differ from fresh arrays, so the bits
 are the same. A trace built on a workspace holds views of its buffers: it
@@ -64,7 +65,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .binio import FormatError, check_version, expect_magic, read_exact, read_u16, read_u32
-from .numerics import Rng, assert_finite, sigmoid, softmax_rows
+from .numerics import Rng, Workspace, assert_finite, sigmoid, softmax_rows
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1  # new_running = (1 - m) * old + m * batch
@@ -197,25 +198,6 @@ def init_params(rng: Rng, config: NetConfig = NetConfig()) -> ModelParams:
         lstm_u=lstm_u,
         lstm_b=lstm_b,
     )
-
-
-class Workspace:
-    """Named buffers reused across calls of model_forward and
-    model_gradients. A buffer is allocated on first use and again only when
-    a batch has more rows than it holds or another dtype; a batch with
-    fewer rows gets a view of its leading rows. Arrays computed into a
-    workspace, including a ForwardTrace's, are overwritten by its next use."""
-
-    def __init__(self):
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def take(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """A C-contiguous array of the given shape and dtype backed by buffer `name`."""
-        buf = self._buffers.get(name)
-        if (buf is None or buf.dtype != dtype or buf.shape[0] < shape[0]
-                or buf.shape[1:] != tuple(shape[1:])):
-            buf = self._buffers[name] = np.empty(shape, dtype)
-        return buf[:shape[0]]
 
 
 # ---------------------------------------------------------------------------

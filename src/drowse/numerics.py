@@ -1,9 +1,10 @@
-"""Deterministic numeric substrate: seeded RNG, softmax, sigmoid, DFT power, t-test.
+"""Deterministic numeric substrate: seeded RNG, softmax, sigmoid, DFT power,
+t-test, and the reusable scratch buffers of the network and the entropies.
 
-Everything here is pure and reproducible: the generator is counter-based
-(no platform RNG), so identical seeds give identical streams on every
-platform, and the t-test p-value is computed in-repo via the regularized
-incomplete beta function.
+Everything here but the Workspace is pure and reproducible: the generator
+is counter-based (no platform RNG), so identical seeds give identical
+streams on every platform, and the t-test p-value is computed in-repo via
+the regularized incomplete beta function.
 """
 
 from __future__ import annotations
@@ -111,6 +112,31 @@ class Rng:
                 for word in _key_words(key):
                     s = _mix64(s + _GOLDEN * np.array([word], dtype=np.uint64))
         return Rng(int(s[0]))
+
+
+class Workspace:
+    """Named scratch buffers reused across calls.
+
+    Each name is backed by one flat array. take(name, shape, dtype) returns
+    its leading prod(shape) elements as a C-contiguous array of that shape,
+    and allocates a new flat array only when a request needs more elements
+    or another dtype. The leading rows of a C-contiguous array are the
+    leading elements of its memory, so a smaller request of the same row
+    shape gets the same memory a view of leading rows would. An array taken
+    from a workspace, and anything computed into it, is overwritten by the
+    next take of that name.
+    """
+
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """A C-contiguous array of the given shape and dtype backed by buffer `name`."""
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.dtype != dtype or flat.size < size:
+            flat = self._flat[name] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
 
 
 def assert_finite(x: np.ndarray, what: str) -> None:

@@ -27,24 +27,20 @@ than once per step or fold.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import read_sampleset, write_sampleset
+from .dataio import loso_subject_ids, read_sampleset, write_sampleset
 from .network import (
     NetConfig,
-    Workspace,
     init_params,
     model_forward,
     model_gradients,
     updated_running_stats,
 )
-from .numerics import Rng
+from .numerics import Rng, Workspace
 
 EVAL_CHUNK = 256
 
@@ -242,11 +238,15 @@ def run_loso(data, config: TrainConfig, threads: int = 1,
     keep its own work under ``if __name__ == "__main__":``. A call made
     while a spawned worker imports that module raises RuntimeError.
     """
-    subjects = data.subject_ids()
-    if len(subjects) < 2:
-        raise ValueError("leave-one-subject-out needs at least 2 subjects")
+    subjects = loso_subject_ids(data.subjects)
     jobs = [(subject, repeat) for subject in subjects for repeat in range(1, config.repeats + 1)]
     if threads > 1:
+        # imported here, so that a serial run and a process that never
+        # runs LOSO do not load them
+        import multiprocessing
+        import tempfile
+        from concurrent.futures import ProcessPoolExecutor
+
         # multiprocessing marks a spawned process as inheriting until its
         # bootstrap, which imports the parent's main module, is over.
         if getattr(multiprocessing.current_process(), "_inheriting", False):

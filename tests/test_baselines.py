@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -303,6 +304,55 @@ class TestEntropies:
                 reference = [sampen_broadcast(x), fuzzyen_broadcast(x), apen_broadcast(x),
                              spectral_entropy(x)]
                 np.testing.assert_array_equal(four_entropies(x), reference)
+
+    @pytest.mark.parametrize("sizes", [(384, 20, 50, 201), (20, 50, 201, 384)])
+    def test_reused_buffers_keep_the_bits(self, sizes):
+        # Entropy buffers outlive each call; a signal shorter or longer than
+        # the previous one must see no trace of it, and fuzzy sums must add
+        # in the order of an exactly sized fresh array.
+        signal = generate_synthetic(2, 10, 56).data[3].astype(np.float64)
+        for n in sizes:
+            x = signal[:n]
+            for m in (1, 2, 3):
+                for r in (None, 0.15 * float(x.std())):
+                    np.testing.assert_array_equal(sample_entropy(x, m, r),
+                                                  sampen_broadcast(x, m, r))
+                    np.testing.assert_array_equal(approximate_entropy(x, m, r),
+                                                  apen_broadcast(x, m, r))
+                    np.testing.assert_array_equal(fuzzy_entropy(x, m, r),
+                                                  fuzzyen_broadcast(x, m, r))
+
+    def test_threads_keep_their_own_buffers(self):
+        # More threads than cores, each cycling through signal lengths, so a
+        # buffer shared between threads would be resized and overwritten
+        # while another thread reads it.
+        rows = [row.astype(np.float64) for row in generate_synthetic(2, 10, 58).data[:4]]
+        signals = [row[:n] for row, n in zip(rows, (384, 200, 300, 100))]
+
+        def entropies(x):
+            return [sample_entropy(x), fuzzy_entropy(x), approximate_entropy(x)]
+
+        expected = [entropies(x) for x in signals]
+        mismatches = []
+
+        def work(offset):
+            for step in range(12):
+                i = (offset + step) % len(signals)
+                if entropies(signals[i]) != expected[i]:
+                    mismatches.append(i)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+
+    def test_feature_matrix_matches_per_row_entropies(self):
+        data = generate_synthetic(2, 10, 57).data[::4]
+        expected = np.stack([four_entropies(row.astype(np.float64)) for row in data])
+        np.testing.assert_array_equal(feature_matrix(data, "four_entropies"), expected)
 
     def test_four_entropies_vector(self):
         values = four_entropies(tone(10.0) + 0.1 * Rng(48).normal((384,)))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import drowse
-from drowse import cli, dataio
+from drowse import baselines, cli, dataio
 
 from test_interpret import read_heatmap_csv
 
@@ -260,3 +260,44 @@ class TestBaseline:
                        "--clf", "knn", "--out", str(out)) == 0
             assert out.exists()
         capsys.readouterr()
+
+    @pytest.mark.parametrize("subjects", [[], [2]])
+    def test_too_few_subjects_refused_before_features(self, synth_file, tmp_path, capsys,
+                                                      monkeypatch, subjects):
+        data = dataio.read_sampleset(synth_file)
+        path = tmp_path / "few.eegd"
+        dataio.write_sampleset(data.subset(np.isin(data.subjects, subjects)), path)
+
+        def no_features(*_):
+            raise AssertionError("features computed for a file LOSO cannot split")
+
+        monkeypatch.setattr(baselines, "feature_matrix", no_features)
+        code = run("baseline", "--data", str(path), "--features", "entropies",
+                   "--clf", "lda", "--out", str(tmp_path / "base.csv"))
+        assert code == 2
+        assert "leave-one-subject-out needs at least 2 subjects" in capsys.readouterr().err
+        assert not (tmp_path / "base.csv").exists()
+
+
+_IMPORTED_MODULES = """
+import sys
+from drowse import cli
+assert cli.main(sys.argv[1:]) == 0
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("command", ["synth", "explain"])
+def test_commands_import_only_what_they_run(synth_file, model_file, tmp_path, command):
+    # A child process, so that no module this test session loaded counts.
+    argv = {"synth": ["synth", "--out", str(tmp_path / "s.eegd"), "--subjects", "2",
+                      "--per-class", "10"],
+            "explain": ["explain", "--model", model_file, "--data", synth_file,
+                        "--out", str(tmp_path / "h.csv")]}[command]
+    src = str(Path(drowse.__file__).resolve().parents[1])
+    child = subprocess.run([sys.executable, "-c", _IMPORTED_MODULES, *argv],
+                           env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                           text=True, timeout=120, check=True)
+    modules = set(child.stdout.splitlines()[-1].split())
+    assert "drowse.dataio" in modules
+    assert not modules & {"drowse.training", "multiprocessing", "concurrent.futures"}

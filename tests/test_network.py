@@ -15,7 +15,6 @@ from drowse.network import (
     BN_EPS,
     NetConfig,
     ModelParams,
-    Workspace,
     avgpool,
     batchnorm_eval,
     cross_entropy,
@@ -34,7 +33,7 @@ from drowse.network import (
     _elu_backward,
     _lstm_backward,
 )
-from drowse.numerics import Rng, softmax_rows
+from drowse.numerics import Rng, Workspace, softmax_rows
 
 REDUCED = NetConfig(kernels=4, kernel_len=8, n_samples=48, pool=4)
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from drowse.numerics import (
     Rng,
+    Workspace,
     dft_power,
     normalize_mean_std,
     paired_t_test,
@@ -214,3 +215,23 @@ class TestRng:
     def test_integers_in_range(self):
         v = Rng(3).integers(5, 9, (1000,))
         assert v.min() >= 5 and v.max() <= 8
+
+
+class TestWorkspace:
+    def test_smaller_requests_reuse_the_leading_elements(self):
+        ws = Workspace()
+        big = ws.take("a", (4, 6), np.float64)
+        big[:] = np.arange(24.0).reshape(4, 6)
+        rows = ws.take("a", (2, 6), np.float64)
+        square = ws.take("a", (3, 3), np.float64)
+        for part in (rows, square):
+            assert part.flags.c_contiguous and np.shares_memory(part, big)
+        np.testing.assert_array_equal(rows, big[:2])
+        np.testing.assert_array_equal(square.ravel(), np.arange(9.0))
+
+    def test_larger_request_or_other_dtype_reallocates(self):
+        ws = Workspace()
+        small = ws.take("a", (3, 3), np.float64)
+        assert not np.shares_memory(ws.take("a", (4, 3), np.float64), small)
+        other = ws.take("a", (2, 2), np.float32)
+        assert other.dtype == np.float32 and other.shape == (2, 2)

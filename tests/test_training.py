@@ -11,8 +11,8 @@ import pytest
 
 import drowse
 from drowse.dataio import SampleSet, generate_synthetic
-from drowse.network import NetConfig, Workspace, cross_entropy, init_params
-from drowse.numerics import Rng, paired_t_test
+from drowse.network import NetConfig, cross_entropy, init_params
+from drowse.numerics import Rng, Workspace, paired_t_test
 from drowse.training import (
     AdamState,
     CvReport,
