@@ -9,14 +9,14 @@ so fit+predict is a pure function of the data.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataio import SAMPLE_POINTS, SAMPLE_RATE_HZ, loso_subject_ids
-from .numerics import Workspace, dft_power, sigmoid
+from .numerics import dft_power, sigmoid, thread_workspace
 
 SEGMENT = 128
 BANDS = (("delta", 1.0, 4.0), ("theta", 4.0, 8.0),
@@ -108,18 +108,6 @@ def spectral_entropy(x: np.ndarray) -> float:
 
 # -- entropies -----------------------------------------------------------------
 
-# The [n, n] distance and mask buffers of the entropy functions, reused
-# across samples and calls. The functions write into them, so each thread
-# has its own.
-_entropy_buffers = threading.local()
-
-
-def _entropy_workspace() -> Workspace:
-    if not hasattr(_entropy_buffers, "workspace"):
-        _entropy_buffers.workspace = Workspace()
-    return _entropy_buffers.workspace
-
-
 def _validate_entropy_input(x: np.ndarray, m: int) -> np.ndarray:
     if m < 1:
         raise ValueError(f"template length m must be at least 1, got {m}")
@@ -145,7 +133,7 @@ def _lagwise_chebyshev(templates: np.ndarray) -> np.ndarray:
     """[N, N] Chebyshev distances between the rows of [N, mm] templates.
 
     Built one lag at a time, d = max_k |t[i, k] - t[j, k]|, in the "dist"
-    buffer of the thread's entropy workspace, each lag's differences in its
+    buffer of the thread's workspace, each lag's differences in its
     "lag" buffer: no [N, N, mm] difference array exists, and no [N, N]
     array is allocated once the buffers are large enough. The result is an
     exactly sized C-contiguous array, so its sum adds in the same order as
@@ -153,7 +141,7 @@ def _lagwise_chebyshev(templates: np.ndarray) -> np.ndarray:
     broadcast formulation bit for bit. The next call overwrites the result.
     """
     n = templates.shape[0]
-    ws = _entropy_workspace()
+    ws = thread_workspace()
     dist = _abs_differences(templates[:, 0], ws.take("dist", (n, n), np.float64))
     lag = ws.take("lag", (n, n), np.float64)
     for k in range(1, templates.shape[1]):
@@ -187,7 +175,7 @@ def _sample_and_approximate_entropy(x: np.ndarray, m: int, r: float | None) -> t
     n = x.size
     n_templates = n - m
     count = n_templates + 1  # templates of length m
-    ws = _entropy_workspace()
+    ws = thread_workspace()
     close = ws.take("close", (n, n), np.bool_)
     np.less_equal(_abs_differences(x, ws.take("dist", (n, n), np.float64)), r, out=close)
     within_m = ws.take("within_m", (count, count), np.bool_)
@@ -285,10 +273,14 @@ def feature_matrix(data: np.ndarray, kind: str) -> np.ndarray:
 
 @dataclass
 class ClassifierModel:
+    """A fitted classifier: the training features' standardization and the
+    kind's scorer, which maps standardized [n, d] features to per-class
+    scores [n, 2]; the larger score wins and a tie goes to class 0."""
+
     kind: str
     feat_mean: np.ndarray
     feat_std: np.ndarray
-    fitted: dict
+    scores: Callable[[np.ndarray], np.ndarray]
 
 
 def _shrunk(cov: np.ndarray) -> np.ndarray:
@@ -315,8 +307,7 @@ def fit_classifier(kind: str, features: np.ndarray, labels, k: int = KNN_K) -> C
     std = np.where(std > 1e-12, std, 1.0)
     z = (x - mean) / std
     n, d = z.shape
-    priors = counts / n
-    fitted = {}
+    log_priors = np.log(counts / n)
 
     if kind == "lr":
         w = np.zeros(d)
@@ -326,15 +317,20 @@ def fit_classifier(kind: str, features: np.ndarray, labels, k: int = KNN_K) -> C
             err = p - y
             w -= LR_STEP * (z.T @ err / n + 2.0 * LR_L2 * w)
             b -= LR_STEP * float(err.mean())
-        fitted = {"w": w, "b": b}
+
+        def scores(q):
+            margin = q @ w + b
+            return np.column_stack([-margin, margin])
     elif kind == "lda":
         mus = np.stack([z[y == c].mean(axis=0) for c in (0, 1)])
         centered = z - mus[y]
-        cov = _shrunk(centered.T @ centered / (n - 2))
-        inv = np.linalg.inv(cov)
-        fitted = {"mus": mus, "inv": inv, "log_priors": np.log(priors)}
+        inv = np.linalg.inv(_shrunk(centered.T @ centered / (n - 2)))
+
+        def scores(q):
+            return np.column_stack([q @ inv @ mu - 0.5 * mu @ inv @ mu + log_prior
+                                    for mu, log_prior in zip(mus, log_priors)])
     elif kind == "qda":
-        mus, invs, logdets = [], [], []
+        fitted = []
         for c in (0, 1):
             zc = z[y == c]
             mu = zc.mean(axis=0)
@@ -342,49 +338,33 @@ def fit_classifier(kind: str, features: np.ndarray, labels, k: int = KNN_K) -> C
             sign, logdet = np.linalg.slogdet(cov)
             if sign <= 0:
                 raise ValueError("class covariance is not positive definite")
-            mus.append(mu)
-            invs.append(np.linalg.inv(cov))
-            logdets.append(logdet)
-        fitted = {"mus": np.stack(mus), "invs": np.stack(invs),
-                  "logdets": np.array(logdets), "log_priors": np.log(priors)}
+            fitted.append((mu, np.linalg.inv(cov), logdet, log_priors[c]))
+
+        def scores(q):
+            columns = []
+            for mu, inv, logdet, log_prior in fitted:
+                diff = q - mu
+                mahal = np.einsum("ij,jk,ik->i", diff, inv, diff)
+                columns.append(-0.5 * (logdet + mahal) + log_prior)
+            return np.column_stack(columns)
     elif kind == "gnb":
-        mus = np.stack([z[y == c].mean(axis=0) for c in (0, 1)])
-        variances = np.stack([np.maximum(z[y == c].var(axis=0), GNB_VAR_FLOOR)
-                              for c in (0, 1)])
-        fitted = {"mus": mus, "vars": variances, "log_priors": np.log(priors)}
+        mus = [z[y == c].mean(axis=0) for c in (0, 1)]
+        variances = [np.maximum(z[y == c].var(axis=0), GNB_VAR_FLOOR) for c in (0, 1)]
+
+        def scores(q):
+            return np.column_stack([
+                (-0.5 * (np.log(2 * np.pi * var) + (q - mu) ** 2 / var)).sum(axis=1) + log_prior
+                for mu, var, log_prior in zip(mus, variances, log_priors)])
     else:  # knn
-        fitted = {"z": z, "y": y, "k": min(k, n)}
+        k = min(k, n)
 
-    return ClassifierModel(kind, mean, std, fitted)
+        def scores(q):
+            dist = np.sqrt(((z - q[:, None]) ** 2).sum(axis=2))
+            # stable sort: equal distances resolve to the lower training index
+            votes = y[np.argsort(dist, axis=1, kind="stable")[:, :k]].sum(axis=1)
+            return np.column_stack([k - votes, votes])
 
-
-def _scores(model: ClassifierModel, z: np.ndarray) -> np.ndarray:
-    """Per-class decision scores [n, 2]; larger wins, ties go to class 0."""
-    f = model.fitted
-    if model.kind == "lr":
-        margin = z @ f["w"] + f["b"]
-        return np.column_stack([-margin, margin])
-    if model.kind == "lda":
-        scores = np.empty((z.shape[0], 2))
-        for c in (0, 1):
-            mu = f["mus"][c]
-            scores[:, c] = z @ f["inv"] @ mu - 0.5 * mu @ f["inv"] @ mu + f["log_priors"][c]
-        return scores
-    if model.kind == "qda":
-        scores = np.empty((z.shape[0], 2))
-        for c in (0, 1):
-            diff = z - f["mus"][c]
-            mahal = np.einsum("ij,jk,ik->i", diff, f["invs"][c], diff)
-            scores[:, c] = -0.5 * (f["logdets"][c] + mahal) + f["log_priors"][c]
-        return scores
-    if model.kind == "gnb":
-        scores = np.empty((z.shape[0], 2))
-        for c in (0, 1):
-            var = f["vars"][c]
-            log_lik = -0.5 * (np.log(2 * np.pi * var) + (z - f["mus"][c]) ** 2 / var)
-            scores[:, c] = log_lik.sum(axis=1) + f["log_priors"][c]
-        return scores
-    raise ValueError(f"unknown classifier kind: {model.kind!r}")
+    return ClassifierModel(kind, mean, std, scores)
 
 
 def predict_classifier(model: ClassifierModel, features: np.ndarray) -> np.ndarray:
@@ -394,18 +374,7 @@ def predict_classifier(model: ClassifierModel, features: np.ndarray) -> np.ndarr
         x = x[None, :]
     if x.shape[1] != model.feat_mean.size:
         raise ValueError(f"expected {model.feat_mean.size} features, got {x.shape[1]}")
-    z = (x - model.feat_mean) / model.feat_std
-
-    if model.kind == "knn":
-        f = model.fitted
-        dist = np.sqrt(((f["z"] - z[:, None]) ** 2).sum(axis=2))
-        # stable sort: equal distances resolve to the lower training index
-        nearest = np.argsort(dist, axis=1, kind="stable")[:, :f["k"]]
-        votes = f["y"][nearest].sum(axis=1)
-        # a tied vote goes to class 0
-        return (votes > nearest.shape[1] - votes).astype(np.int64)
-
-    scores = _scores(model, z)
+    scores = model.scores((x - model.feat_mean) / model.feat_std)
     return (scores[:, 1] > scores[:, 0]).astype(np.int64)
 
 

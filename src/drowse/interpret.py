@@ -1,10 +1,10 @@
 """Heatmaps that localize the evidence behind a classification.
 
 The hidden state of every LSTM step is pushed through a softmax, giving the
-likelihood evolution of the predicted class over the 48 steps.  Repeating
-each value 8 times maps it back onto the 384 input points (accumulated
-heatmap); normalized first differences of the evolution mark where the
-likelihood moved (relative heatmap).
+likelihood evolution of the predicted class over the steps (48 by default).
+Repeating each value over its pooling window maps it back onto the input
+points (accumulated heatmap); normalized first differences of the evolution
+mark where the likelihood moved (relative heatmap).
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import numpy as np
 from .network import NetConfig, model_forward
 from .numerics import normalize_mean_std, softmax_rows
 
-PAD = 8
-
 
 @dataclass
 class HeatmapPair:
@@ -27,6 +25,7 @@ class HeatmapPair:
     likelihoods: np.ndarray  # final [p_alert, p_drowsy]
     m_rel: np.ndarray
     m_acc: np.ndarray
+    pool: int  # input points per LSTM step
 
 
 def hidden_likelihoods(trace, c: int) -> np.ndarray:
@@ -42,27 +41,27 @@ def hidden_likelihoods(trace, c: int) -> np.ndarray:
     return softmax_rows(hidden[:, 0, :])[:, c]
 
 
-def accumulated_heatmap(likelihoods: np.ndarray, seq_len: int = 48) -> np.ndarray:
-    """Repeat each per-step likelihood 8 times, preserving order."""
+def accumulated_heatmap(likelihoods: np.ndarray, config: NetConfig = NetConfig()) -> np.ndarray:
+    """Repeat each per-step likelihood over its pooling window, preserving order."""
     likelihoods = np.asarray(likelihoods, dtype=np.float64)
-    if likelihoods.shape != (seq_len,):
-        raise ValueError(f"expected {seq_len} likelihood values, got {likelihoods.shape}")
-    return np.repeat(likelihoods, PAD)
+    if likelihoods.shape != (config.seq_len,):
+        raise ValueError(f"expected {config.seq_len} likelihood values, got {likelihoods.shape}")
+    return np.repeat(likelihoods, config.pool)
 
 
-def relative_heatmap(likelihoods: np.ndarray, seq_len: int = 48) -> np.ndarray:
-    """Normalized likelihood increments, padded onto the input grid.
+def relative_heatmap(likelihoods: np.ndarray, config: NetConfig = NetConfig()) -> np.ndarray:
+    """Normalized likelihood increments, repeated over each pooling window.
 
     The step-0 likelihood is defined as 0, so the first increment is the
-    full likelihood after one step; increments are standardized over the 48
-    step values before padding.  An all-zero increment sequence (possible
+    full likelihood after one step; increments are standardized over the
+    step values before repeating.  An all-zero increment sequence (possible
     only for an all-zero likelihood input) maps to an all-zero heatmap.
     """
     likelihoods = np.asarray(likelihoods, dtype=np.float64)
-    if likelihoods.shape != (seq_len,):
-        raise ValueError(f"expected {seq_len} likelihood values, got {likelihoods.shape}")
+    if likelihoods.shape != (config.seq_len,):
+        raise ValueError(f"expected {config.seq_len} likelihood values, got {likelihoods.shape}")
     deltas = np.diff(likelihoods, prepend=0.0)
-    return np.repeat(normalize_mean_std(deltas), PAD)
+    return np.repeat(normalize_mean_std(deltas), config.pool)
 
 
 def explain_sample(sample, params, net_config: NetConfig | None = None) -> HeatmapPair:
@@ -75,8 +74,9 @@ def explain_sample(sample, params, net_config: NetConfig | None = None) -> Heatm
     return HeatmapPair(
         predicted_class=c,
         likelihoods=probs[0],
-        m_rel=relative_heatmap(evolution, net_config.seq_len),
-        m_acc=accumulated_heatmap(evolution, net_config.seq_len),
+        m_rel=relative_heatmap(evolution, net_config),
+        m_acc=accumulated_heatmap(evolution, net_config),
+        pool=net_config.pool,
     )
 
 
@@ -131,11 +131,12 @@ def render_svg(pair: HeatmapPair, signal: np.ndarray) -> str:
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" viewBox="0 0 {width} {height}">',
              f'<rect width="{width}" height="{height}" fill="white"/>']
-    # relative heatmap as colored background strips, one per 8-point block
-    for block in range(n // PAD):
-        x0 = xs[block * PAD]
-        x1 = xs[min((block + 1) * PAD, n - 1)]
-        color = _diverging_color(pair.m_rel[block * PAD])
+    # relative heatmap as colored background strips, one per LSTM step
+    pool = pair.pool
+    for block in range(n // pool):
+        x0 = xs[block * pool]
+        x1 = xs[min((block + 1) * pool, n - 1)]
+        color = _diverging_color(pair.m_rel[block * pool])
         parts.append(f'<rect x="{x0:.2f}" y="{gap}" width="{x1 - x0:.2f}" '
                      f'height="{panel_h}" fill="{color}"/>')
     parts.append(_polyline(xs, y_sig, "black", 0.8))

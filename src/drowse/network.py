@@ -36,8 +36,8 @@ reshape that is already the LSTM's [B, T, K] input, and the backward
 broadcasts each window's gradient over that axis instead of repeating it.
 The trace exposes [B, K, n] and [B, K, T] transposed views of these
 buffers, the layout the public batchnorm_eval, elu and avgpool take. The
-conv bias gets an exact zero gradient: batch norm subtracts each
-channel's batch mean, which absorbs it.
+conv has no bias: batch norm subtracts each channel's mean, which would
+cancel it. Model files keep a zero conv.b (see load_params).
 
 The forward and backward passes write every [B, n, L] window array and
 every [B, n, K] activation, gradient and temporary into a Workspace (from
@@ -69,6 +69,7 @@ from .numerics import Rng, Workspace, assert_finite, sigmoid, softmax_rows
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1  # new_running = (1 - m) * old + m * batch
+N_CLASSES = 2  # labels are 0 (alert) and 1 (drowsy); also the LSTM hidden size
 
 
 @dataclass(frozen=True)
@@ -81,12 +82,11 @@ class NetConfig:
     kernel_len: int = 64
     n_samples: int = 384
     pool: int = 8
-    n_classes: int = 2
 
     def __post_init__(self):
         if self.n_samples % self.pool != 0:
             raise ValueError("n_samples must be divisible by the pooling window")
-        if min(self.kernels, self.kernel_len, self.n_samples, self.pool, self.n_classes) < 1:
+        if min(self.kernels, self.kernel_len, self.n_samples, self.pool) < 1:
             raise ValueError("all architecture sizes must be positive")
 
     @property
@@ -96,7 +96,7 @@ class NetConfig:
 
 # Serialized tensor names, in canonical file order. Each maps to the
 # parameter attribute that holds it and, for the LSTM, its row block in
-# gate order i, f, g, o (None: the whole tensor).
+# gate order i, f, g, o (None: the whole tensor); conv_b is file-only.
 _TENSOR_ATTRS: dict[str, tuple[str, int | None]] = {
     "conv.w": ("conv_w", None),
     "conv.b": ("conv_b", None),
@@ -130,7 +130,6 @@ class ModelParams:
     cell candidate, output. Model files keep one tensor per gate block."""
 
     conv_w: np.ndarray  # [kernels, 1, kernel_len]
-    conv_b: np.ndarray  # [kernels]
     bn_gamma: np.ndarray
     bn_beta: np.ndarray
     bn_run_mean: np.ndarray
@@ -158,10 +157,9 @@ def _compute_dtype(x: np.ndarray) -> np.dtype:
 
 
 def expected_shapes(config: NetConfig) -> dict[str, tuple[int, ...]]:
-    k, length, d = config.kernels, config.kernel_len, config.n_classes
+    k, length, d = config.kernels, config.kernel_len, N_CLASSES
     return {
         "conv_w": (k, 1, length),
-        "conv_b": (k,),
         "bn_gamma": (k,),
         "bn_beta": (k,),
         "bn_run_mean": (k,),
@@ -181,7 +179,7 @@ def init_params(rng: Rng, config: NetConfig = NetConfig()) -> ModelParams:
     """Glorot-uniform weights, zero biases except a forget bias of 1,
     identity batch-norm affine, unit running variance. Deterministic in
     the generator's seed (fixed draw order)."""
-    k, length, d = config.kernels, config.kernel_len, config.n_classes
+    k, length, d = config.kernels, config.kernel_len, N_CLASSES
     conv_w = _glorot(rng, (k, 1, length), fan_in=1 * length, fan_out=k * length)
     lstm_w = _glorot(rng, (4 * d, k), fan_in=k, fan_out=d)
     lstm_u = _glorot(rng, (4 * d, d), fan_in=d, fan_out=d)
@@ -189,7 +187,6 @@ def init_params(rng: Rng, config: NetConfig = NetConfig()) -> ModelParams:
     lstm_b[d : 2 * d] = 1.0  # forget gate
     return ModelParams(
         conv_w=conv_w,
-        conv_b=np.zeros(k),
         bn_gamma=np.ones(k),
         bn_beta=np.zeros(k),
         bn_run_mean=np.zeros(k),
@@ -218,18 +215,17 @@ def _conv_windows(x2: np.ndarray, kernel_len: int, ws: Workspace) -> np.ndarray:
     return windows
 
 
-def _conv_apply(windows: np.ndarray, w: np.ndarray, b: np.ndarray, ws: Workspace) -> np.ndarray:
-    # Correlate [B, n, L] windows with kernels [K, 1, L], add bias -> [B, n, K].
+def _conv_apply(windows: np.ndarray, w: np.ndarray, ws: Workspace) -> np.ndarray:
+    # Correlate [B, n, L] windows with kernels [K, 1, L] -> [B, n, K].
     batch, n, length = windows.shape
     out = ws.take("conv", (batch, n, w.shape[0]), windows.dtype)
     np.matmul(windows.reshape(batch * n, length), w[:, 0, :].T, out=out.reshape(batch * n, -1))
-    out += b
     return out
 
 
 def _conv_backward(dout, windows):
     # Kernel gradient only: the input is the data, so no gradient flows
-    # further back, and the bias has none (see model_gradients).
+    # further back.
     batch, n, k = dout.shape
     dw2 = dout.reshape(batch * n, k).T @ windows.reshape(batch * n, windows.shape[2])
     return dw2[:, None, :]
@@ -426,7 +422,7 @@ def model_forward(
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Full forward pass over a [B, 1, n] batch.
 
-    Returns per-class probabilities [B, n_classes] (rows sum to 1, float64)
+    Returns per-class probabilities [B, N_CLASSES] (rows sum to 1, float64)
     and the forward trace. Pure: running statistics are not touched;
     train-mode batch statistics are reported in the trace for the caller.
     The activations are computed in float32 for float32 input and in
@@ -450,7 +446,7 @@ def model_forward(
     params = params.astype(dtype)
     ws = Workspace() if workspace is None else workspace
     windows = _conv_windows(x[:, 0, :], config.kernel_len, ws)
-    conv_out = _conv_apply(windows, params.conv_w, params.conv_b, ws)  # [B, n, K]
+    conv_out = _conv_apply(windows, params.conv_w, ws)  # [B, n, K]
     shape = conv_out.shape
     if mode == "train":
         bn_out, mean, var = _batchnorm_train(conv_out, params.bn_gamma, params.bn_beta, ws)
@@ -506,7 +502,7 @@ def model_gradients(
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.shape[0] != np.shape(batch)[0]:
         raise ValueError("labels must be a vector matching the batch size")
-    if labels.min() < 0 or labels.max() >= config.n_classes:
+    if labels.min() < 0 or labels.max() >= N_CLASSES:
         raise ValueError("labels out of range")
     ws = Workspace() if workspace is None else workspace
     params = params.astype(_compute_dtype(np.asarray(batch)))
@@ -530,11 +526,8 @@ def model_gradients(
     dconv, dgamma, dbeta = _batchnorm_backward(
         dbn_out, trace.conv_out.transpose(0, 2, 1), trace.bn_mean, trace.bn_var, params.bn_gamma,
         ws)
-    # Batch norm subtracts each channel's batch mean, which absorbs the conv
-    # bias: its exact gradient is 0, so Adam leaves it where it is.
     grads: dict[str, np.ndarray] = {
         "conv_w": _conv_backward(dconv, trace.conv_windows),
-        "conv_b": np.zeros_like(params.conv_b),
         "bn_gamma": dgamma,
         "bn_beta": dbeta,
     }
@@ -557,12 +550,14 @@ def _gate_rows(array: np.ndarray, block: int | None) -> np.ndarray:
 
 
 def save_params(params: ModelParams, path) -> None:
-    """Write all tensors to a named-tensor model file (binary32 values)."""
+    """Write all tensors to a named-tensor model file (binary32 values),
+    with conv.b as zeros."""
+    tensors = dict(vars(params), conv_b=np.zeros(params.conv_w.shape[0]))
     with open(path, "wb") as fh:
         fh.write(_MODEL_MAGIC)
         fh.write(struct.pack("<II", 1, len(_TENSOR_ATTRS)))
         for name, (attr, block) in _TENSOR_ATTRS.items():
-            arr = np.asarray(_gate_rows(getattr(params, attr), block), dtype=np.float32)
+            arr = np.asarray(_gate_rows(tensors[attr], block), dtype=np.float32)
             encoded = name.encode("ascii")
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)
@@ -574,10 +569,12 @@ def save_params(params: ModelParams, path) -> None:
 def load_params(path, config: NetConfig = NetConfig()) -> ModelParams:
     """Read a model file back; raises FormatError on bad magic or version,
     unknown, duplicate or missing tensor names, shape mismatches,
-    non-finite values, or truncation."""
+    non-finite values, or truncation. A non-zero conv.b, from a model that
+    trained one, is folded into bn.run_mean: (conv + b) - mean = conv - (mean - b)."""
     known = {name.encode("ascii"): (name, attr, block)
              for name, (attr, block) in _TENSOR_ATTRS.items()}
     tensors = {attr: np.empty(shape) for attr, shape in expected_shapes(config).items()}
+    tensors["conv_b"] = np.empty(config.kernels)
     seen: set[str] = set()
     with open(path, "rb") as fh:
         expect_magic(fh, _MODEL_MAGIC)
@@ -611,4 +608,5 @@ def load_params(path, config: NetConfig = NetConfig()) -> ModelParams:
         raise FormatError(f"missing tensors: {', '.join(missing)}")
     if np.any(tensors["bn_run_var"] <= 0.0):
         raise FormatError("bn.run_var must be positive")
+    tensors["bn_run_mean"] -= tensors.pop("conv_b")
     return ModelParams(**tensors)

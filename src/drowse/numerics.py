@@ -1,5 +1,5 @@
 """Deterministic numeric substrate: seeded RNG, softmax, sigmoid, DFT power,
-t-test, and the reusable scratch buffers of the network and the entropies.
+t-test, and the per-thread scratch buffers of the network and the entropies.
 
 Everything here but the Workspace is pure and reproducible: the generator
 is counter-based (no platform RNG), so identical seeds give identical
@@ -10,6 +10,7 @@ the regularized incomplete beta function.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -137,6 +138,16 @@ class Workspace:
         if flat is None or flat.dtype != dtype or flat.size < size:
             flat = self._flat[name] = np.empty(size, dtype)
         return flat[:size].reshape(shape)
+
+
+_thread_buffers = threading.local()
+
+
+def thread_workspace() -> Workspace:
+    """The calling thread's Workspace, made on first use; no two threads share one."""
+    if not hasattr(_thread_buffers, "workspace"):
+        _thread_buffers.workspace = Workspace()
+    return _thread_buffers.workspace
 
 
 def assert_finite(x: np.ndarray, what: str) -> None:

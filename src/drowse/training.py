@@ -19,10 +19,10 @@ that pipe's read end until its write returns, so a write larger than the
 pipe buffer to a worker that died while bootstrapping (as one importing
 an unguarded script does) would block for good. A worker that dies early
 breaks the pool with BrokenProcessPool instead. At threads == 1 the folds
-run in the calling process. Each process running folds, the caller or a
-worker, computes every training step and evaluation of all its folds into
-one network Workspace, so its buffers are mapped once per process rather
-than once per step or fold.
+run in the calling process. train and evaluate compute every step and
+chunk into the calling thread's workspace (numerics.thread_workspace), so
+a process running folds, the caller or a worker, maps its buffers once
+rather than once per step or fold.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .network import (
     model_gradients,
     updated_running_stats,
 )
-from .numerics import Rng, Workspace
+from .numerics import Rng, thread_workspace
 
 EVAL_CHUNK = 256
 
@@ -105,15 +105,15 @@ def adam_step(params, grads: dict, state: AdamState, config: TrainConfig):
 
 
 def train(params, train_set, config: TrainConfig, rng: Rng, on_epoch=None,
-          net_config: NetConfig | None = None, workspace: Workspace | None = None):
+          net_config: NetConfig | None = None):
     """Epoch loop: seeded shuffle, fixed-size batches, Adam per batch.
 
     The trailing short batch is dropped when it has fewer than 2 samples
     (batch norm needs at least 2).  Batch-norm running statistics are
     updated after every batch.  ``on_epoch(epoch, params, mean_loss)`` is
     called after each epoch with 1-based epoch numbers.  Every step
-    computes into ``workspace`` (one fresh for this call when None), which
-    holds nothing between steps, so ``on_epoch`` may use it too.  The
+    computes into the thread's workspace, which holds nothing between
+    steps, so ``on_epoch`` may use it too (evaluate does).  The
     network computes in the samples' dtype, float32 for a SampleSet;
     params and the Adam moments stay float64 and take the float32
     gradients.  Returns params after the final epoch.
@@ -128,7 +128,7 @@ def train(params, train_set, config: TrainConfig, rng: Rng, on_epoch=None,
         raise ValueError("training set contains a single class")
 
     state = AdamState.for_params(params)
-    ws = Workspace() if workspace is None else workspace
+    ws = thread_workspace()
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(n)
         losses = []
@@ -146,11 +146,10 @@ def train(params, train_set, config: TrainConfig, rng: Rng, on_epoch=None,
     return params
 
 
-def evaluate(params, test_set, net_config: NetConfig | None = None,
-             workspace: Workspace | None = None) -> float:
+def evaluate(params, test_set, net_config: NetConfig | None = None) -> float:
     """Eval-mode accuracy; an exactly tied posterior predicts label 0.
     Every chunk computes in the samples' dtype (float32 for a SampleSet)
-    into ``workspace`` (one fresh for this call when None)."""
+    into the thread's workspace."""
     net_config = net_config or NetConfig()
     n = len(test_set)
     if n == 0:
@@ -158,7 +157,7 @@ def evaluate(params, test_set, net_config: NetConfig | None = None,
     x = test_set.data[:, None, :]
     y = test_set.labels.astype(np.int64)
     correct = 0
-    ws = Workspace() if workspace is None else workspace
+    ws = thread_workspace()
     for start in range(0, n, EVAL_CHUNK):
         probs, _ = model_forward(x[start:start + EVAL_CHUNK], params, "eval", net_config, ws)
         # np.argmax takes the first maximum, so a 0.5/0.5 tie predicts 0
@@ -201,26 +200,26 @@ class CvReport:
         return self.per_subject_curve()[:, epoch - 1]
 
 
-def _fold_job(data, config, net_config, ws, subject, repeat):
+def _fold_job(data, config, net_config, subject, repeat):
     train_set, test_set = loso_split(data, subject)
     rng = Rng(config.seed).split(int(subject), int(repeat))
     params = init_params(rng, net_config or NetConfig())
     accs = []
 
     def record(epoch, current, mean_loss):
-        accs.append(evaluate(current, test_set, net_config, ws))
+        accs.append(evaluate(current, test_set, net_config))
 
-    train(params, train_set, config, rng, on_epoch=record, net_config=net_config, workspace=ws)
+    train(params, train_set, config, rng, on_epoch=record, net_config=net_config)
     return int(subject), int(repeat), accs
 
 
-# A pool worker's (data, config, net_config, workspace), set once when it starts.
+# A pool worker's (data, config, net_config), set once when it starts.
 _worker_inputs = None
 
 
 def _start_worker(data_path, config, net_config):
     global _worker_inputs
-    _worker_inputs = (read_sampleset(data_path), config, net_config, Workspace())
+    _worker_inputs = (read_sampleset(data_path), config, net_config)
 
 
 def _worker_fold_job(job):
@@ -263,8 +262,7 @@ def run_loso(data, config: TrainConfig, threads: int = 1,
                                      initargs=(data_path, config, net_config)) as pool:
                 results = list(pool.map(_worker_fold_job, jobs))
     else:
-        ws = Workspace()
-        results = [_fold_job(data, config, net_config, ws, *job) for job in jobs]
+        results = [_fold_job(data, config, net_config, *job) for job in jobs]
 
     accuracies = np.zeros((len(subjects), config.repeats, config.max_epochs))
     row = {subject: i for i, subject in enumerate(subjects)}

@@ -416,13 +416,14 @@ class TestClassifiers:
             y = np.array([0, 1] * 15)
             q = np.round(rng.normal((25, 3)))
             model = fit_classifier("knn", x, y, k=k)
-            f = model.fitted
-            z = (q - model.feat_mean) / model.feat_std
+            std = x.std(axis=0)
+            train_z = (x - x.mean(axis=0)) / std
+            z = (q - x.mean(axis=0)) / std
             expected = []
             for row in z:
-                dist = np.sqrt(((f["z"] - row) ** 2).sum(axis=1))
+                dist = np.sqrt(((train_z - row) ** 2).sum(axis=1))
                 order = np.argsort(dist, kind="stable")[:k]
-                votes = int(f["y"][order].sum())
+                votes = int(y[order].sum())
                 expected.append(1 if votes > k - votes else 0)
             np.testing.assert_array_equal(predict_classifier(model, q), expected)
 

@@ -207,6 +207,26 @@ class TestEmission:
 
     def test_svg_renders_standalone(self):
         pair = HeatmapPair(1, np.array([0.2, 0.8]), Rng(20).normal((384,)),
-                           Rng(21).uniform((384,)))
+                           Rng(21).uniform((384,)), 8)
         svg = render_svg(pair, Rng(22).normal((384,)))
         ET.fromstring(svg)
+
+    @pytest.mark.parametrize("pool", [4, 16])
+    def test_heatmaps_follow_the_pooling_window(self, tmp_path, pool):
+        config = NetConfig(kernels=8, kernel_len=16, pool=pool)
+        sample = random_sample(23)
+        pair = explain_sample(sample, init_params(Rng(24), config), config)
+        c = pair.predicted_class
+        for m in (pair.m_rel, pair.m_acc):
+            assert m.shape == (384,)
+            blocks = m.reshape(config.seq_len, pool)
+            assert np.all(blocks == blocks[:, :1])
+        np.testing.assert_allclose(pair.m_acc[-pool:], pair.likelihoods[c], atol=1e-12)
+        csv_path, svg_path = tmp_path / "heatmap.csv", tmp_path / "heatmap.svg"
+        emit_heatmap(pair, sample, csv_path, svg_path)
+        back = read_heatmap_csv(csv_path)
+        np.testing.assert_allclose(back["m_acc"], pair.m_acc, rtol=1e-7)
+        np.testing.assert_allclose(back["m_rel"], pair.m_rel, rtol=1e-7)
+        # one strip per LSTM step, plus the background and two panel frames
+        rects = ET.fromstring(svg_path.read_text()).findall("{http://www.w3.org/2000/svg}rect")
+        assert len(rects) == config.seq_len + 3

@@ -38,7 +38,7 @@ from drowse.numerics import Rng, Workspace, softmax_rows
 REDUCED = NetConfig(kernels=4, kernel_len=8, n_samples=48, pool=4)
 
 
-def naive_conv(x, w, b):
+def naive_conv(x, w):
     """Reference O(n*k) sliding dot product on the explicitly padded signal."""
     batch, _, n = x.shape
     k, _, length = w.shape
@@ -48,7 +48,7 @@ def naive_conv(x, w, b):
         xpad = np.concatenate([np.zeros(left), x[bi, 0], np.zeros(length - 1 - left)])
         for j in range(k):
             for t in range(n):
-                acc = b[j]
+                acc = 0.0
                 for tap in range(length):
                     acc += w[j, 0, tap] * xpad[t + tap]
                 out[bi, j, t] = acc
@@ -77,7 +77,6 @@ class TestInit:
     def test_bias_init(self):
         p = init_params(Rng(1))
         np.testing.assert_array_equal(p.lstm_b[2:4], [1.0, 1.0])
-        np.testing.assert_array_equal(p.conv_b, np.zeros(32))
         np.testing.assert_array_equal(p.bn_gamma, np.ones(32))
         np.testing.assert_array_equal(p.bn_run_var, np.ones(32))
 
@@ -89,7 +88,7 @@ class TestConv:
         w = np.zeros((32, 1, 64))
         w[:, 0, 31] = 1.0
         ws = Workspace()
-        out = _conv_apply(_conv_windows(x[:, 0, :], 64, ws), w, np.zeros(32), ws)
+        out = _conv_apply(_conv_windows(x[:, 0, :], 64, ws), w, ws)
         for j in range(32):
             np.testing.assert_allclose(out[:, :, j], x[:, 0, :], atol=1e-12)
 
@@ -97,25 +96,23 @@ class TestConv:
         c = 2.5
         x = np.full((1, 1, 384), c)
         ws = Workspace()
-        out = _conv_apply(_conv_windows(x[:, 0, :], 64, ws), np.ones((1, 1, 64)),
-                          np.array([0.75]), ws)
-        np.testing.assert_allclose(out[0, 32:320, 0], 64 * c + 0.75, atol=1e-9)
+        out = _conv_apply(_conv_windows(x[:, 0, :], 64, ws), np.ones((1, 1, 64)), ws)
+        np.testing.assert_allclose(out[0, 32:320, 0], 64 * c, atol=1e-9)
 
     def test_matches_naive(self):
         rng = Rng(8)
         x = rng.normal((2, 1, 20))
         w = rng.normal((3, 1, 5))
-        b = rng.normal((3,))
         ws = Workspace()
-        out = _conv_apply(_conv_windows(x[:, 0, :], 5, ws), w, b, ws)  # [B, n, K]
-        np.testing.assert_allclose(out, naive_conv(x, w, b).transpose(0, 2, 1), atol=1e-12)
+        out = _conv_apply(_conv_windows(x[:, 0, :], 5, ws), w, ws)  # [B, n, K]
+        np.testing.assert_allclose(out, naive_conv(x, w).transpose(0, 2, 1), atol=1e-12)
 
     def test_shape_mismatch(self):
         # the production conv sits behind model_forward's shape checks
         p = init_params(Rng(5))
         with pytest.raises(ValueError):
             model_forward(np.zeros((2, 2, 384)), p, "eval")
-        p.conv_b = np.zeros(31)
+        p.bn_beta = np.zeros(31)
         with pytest.raises(ValueError):
             model_forward(np.zeros((2, 1, 384)), p, "eval")
 
@@ -236,7 +233,7 @@ def reference_model_gradients(batch, labels, params, config=NetConfig()):
     xpad = np.pad(batch[:, 0, :], ((0, 0), ((length - 1) // 2, length // 2)))
     windows = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(xpad, length, axis=1))
     b, n, _ = windows.shape
-    conv = windows.reshape(b * n, length) @ params.conv_w[:, 0, :].T + params.conv_b
+    conv = windows.reshape(b * n, length) @ params.conv_w[:, 0, :].T
     conv = conv.reshape(b, n, -1).transpose(0, 2, 1)
     mean, var = conv.mean(axis=(0, 2)), conv.var(axis=(0, 2))
     gamma, beta = params.bn_gamma[None, :, None], params.bn_beta[None, :, None]
@@ -257,14 +254,28 @@ def reference_model_gradients(batch, labels, params, config=NetConfig()):
     dconv = gamma * inv_std * (dbn - (dbeta[:, None] + xhat * dgamma[:, None]) / (b * n))
     dconv_flat = dconv.transpose(1, 0, 2).reshape(-1, b * n)
     grads.update(conv_w=(dconv_flat @ windows.reshape(b * n, length))[:, None, :],
-                 conv_b=dconv.sum(axis=(0, 2)), bn_gamma=dgamma, bn_beta=dbeta)
+                 bn_gamma=dgamma, bn_beta=dbeta)
     return cross_entropy(probs, labels), grads
 
 
+def reference_eval_probs(batch, params, conv_b, config=NetConfig()):
+    """Eval-mode forward in float64 whose conv adds the bias conv_b before
+    batch norm, written independently of model_forward."""
+    length, pool = config.kernel_len, config.pool
+    xpad = np.pad(batch[:, 0, :], ((0, 0), ((length - 1) // 2, length // 2)))
+    windows = np.lib.stride_tricks.sliding_window_view(xpad, length, axis=1)  # [B, n, L]
+    conv = windows @ params.conv_w[:, 0, :].T + conv_b  # [B, n, K]
+    bn = (params.bn_gamma * (conv - params.bn_run_mean) / np.sqrt(params.bn_run_var + BN_EPS)
+          + params.bn_beta)
+    act = np.where(bn > 0.0, bn, np.expm1(bn))
+    b, n, k = act.shape
+    hidden, _ = lstm_forward(act.reshape(b, n // pool, pool, k).mean(axis=2), params)
+    return softmax_rows(hidden[-1])
+
+
 def perturbed_params(seed):
-    """Initial weights with non-trivial batch-norm affine and conv bias."""
+    """Initial weights with a non-trivial batch-norm affine."""
     p = init_params(Rng(seed))
-    p.conv_b = np.linspace(-1e-3, 1e-3, 32)
     p.bn_gamma = np.linspace(0.5, 1.5, 32)
     p.bn_beta = np.linspace(-0.2, 0.2, 32)
     return p
@@ -284,12 +295,7 @@ class TestChannelsLastLayout:
         assert loss == ref_loss
         assert grads.keys() == ref.keys()
         for name in grads:
-            if name != "conv_b":
-                np.testing.assert_array_equal(grads[name], ref[name], err_msg=name)
-        # Batch norm absorbs the conv bias: its exact gradient is 0, and the
-        # reference's channel sums of dconv are rounding noise.
-        np.testing.assert_array_equal(grads["conv_b"], 0.0)
-        assert np.abs(ref["conv_b"]).max() <= 1e-12 * np.abs(ref["conv_w"]).max()
+            np.testing.assert_array_equal(grads[name], ref[name], err_msg=name)
 
     def test_public_layers_reproduce_the_trace(self):
         # The calls the traced benchmark suite makes on trace fields.
@@ -448,7 +454,7 @@ class TestAvgPool:
 def scalar_params():
     z = np.zeros(1)
     return ModelParams(
-        conv_w=np.zeros((1, 1, 1)), conv_b=z.copy(),
+        conv_w=np.zeros((1, 1, 1)),
         bn_gamma=np.ones(1), bn_beta=z.copy(), bn_run_mean=z.copy(), bn_run_var=np.ones(1),
         lstm_w=np.ones((4, 1)), lstm_u=np.zeros((4, 1)), lstm_b=np.zeros(4),
     )
@@ -577,6 +583,31 @@ class TestModelFile:
         save_params(q, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_conv_bias_of_older_files_is_folded_into_the_running_mean(self, tmp_path):
+        # Files written by models that still trained a conv bias may hold a
+        # non-zero conv.b. Loaded, they must evaluate as a forward pass that
+        # adds that bias before batch norm.
+        p = perturbed_params(37)
+        p.bn_run_mean = np.linspace(-0.5, 0.5, 32)
+        p.bn_run_var = np.linspace(0.5, 2.0, 32)
+        for name in p.__dataclass_fields__:
+            getattr(p, name)[...] = np.float32(getattr(p, name))
+        path = tmp_path / "m.eglm"
+        save_params(p, path)
+        tensors = read_eglm(path)
+        assert len(tensors) == 18
+        np.testing.assert_array_equal(tensors["conv.b"], np.zeros(32, np.float32))
+        write_eglm(tmp_path / "copy.eglm", tensors)
+        assert (tmp_path / "copy.eglm").read_bytes() == path.read_bytes()
+
+        bias = np.where(np.arange(32) % 2 == 0, 0.3, -0.3).astype(np.float32)
+        write_eglm(path, {**tensors, "conv.b": bias})
+        q = load_params(path)
+        x = generate_synthetic(2, 10, 5).data[:8, None, :].astype(np.float64)
+        probs, _ = model_forward(x, q, "eval")
+        ref = reference_eval_probs(x, p, bias.astype(np.float64))
+        np.testing.assert_allclose(probs, ref, rtol=1e-12, atol=0.0)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.eglm"
         path.write_bytes(b"XXXX" + b"\x00" * 64)
@@ -659,6 +690,17 @@ class TestModelFile:
 
 def struct_pack_tensor(name: bytes) -> bytes:
     return struct.pack("<H", len(name)) + name + struct.pack("<B", 1) + struct.pack("<I", 1) + b"\x00" * 4
+
+
+def write_eglm(path, tensors: dict) -> None:
+    """The inverse of read_eglm: a version-1 file of the given float32
+    tensors, in dict order."""
+    parts = [b"EGLM", struct.pack("<II", 1, len(tensors))]
+    for name, arr in tensors.items():
+        arr = np.asarray(arr, "<f4")
+        parts += [struct.pack("<H", len(name)), name.encode("ascii"),
+                  struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape), arr.tobytes()]
+    path.write_bytes(b"".join(parts))
 
 
 def read_eglm(path) -> dict:

@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 import drowse
 from drowse.dataio import SampleSet, generate_synthetic
 from drowse.network import NetConfig, cross_entropy, init_params
-from drowse.numerics import Rng, Workspace, paired_t_test
+from drowse.numerics import Rng, paired_t_test
 from drowse.training import (
     AdamState,
     CvReport,
@@ -132,32 +133,32 @@ class TestTrainConfig:
 
 class TestTrain:
     def test_same_seed_bit_identical(self):
-        # The second run shares one workspace between its steps (15, 15 and
-        # a short 10) and the evaluations between its epochs.
+        # Runs in one thread compute their steps (15, 15 and a short 10) and
+        # the evaluations between epochs into that thread's workspace, the
+        # second run into buffers the first left behind; a run in a new
+        # thread starts from an empty workspace of its own.
         data = generate_synthetic(2, 10, 3)
         config = TrainConfig(max_epochs=2, batch_size=15)
         runs, accs = [], []
-        for ws in (None, Workspace()):
+
+        def run():
             params = init_params(Rng(5), SMALL_NET)
             accs.append([])
-            train(params, data, config, Rng(6), net_config=SMALL_NET, workspace=ws,
-                  on_epoch=lambda e, p, ml: accs[-1].append(evaluate(p, data, SMALL_NET, ws)))
+            train(params, data, config, Rng(6), net_config=SMALL_NET,
+                  on_epoch=lambda e, p, ml: accs[-1].append(evaluate(p, data, SMALL_NET)))
             runs.append(params)
-        for name in runs[0].__dataclass_fields__:
-            np.testing.assert_array_equal(getattr(runs[0], name), getattr(runs[1], name),
-                                          err_msg=name)
-        assert accs[0] == accs[1]
 
-    def test_conv_bias_stays_at_its_initial_value(self):
-        # Batch norm absorbs the conv bias: its gradient is exactly 0, so
-        # Adam never moves it, not even by rounding noise.
-        data = generate_synthetic(2, 10, 3)
-        params = init_params(Rng(5), SMALL_NET)
-        start = params.copy()
-        train(params, data, TrainConfig(max_epochs=2, batch_size=10), Rng(6),
-              net_config=SMALL_NET)
-        np.testing.assert_array_equal(params.conv_b, start.conv_b)
-        assert not np.array_equal(params.conv_w, start.conv_w)
+        run()
+        run()
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join()
+        assert len(runs) == 3
+        for other in runs[1:]:
+            for name in runs[0].__dataclass_fields__:
+                np.testing.assert_array_equal(getattr(runs[0], name), getattr(other, name),
+                                              err_msg=name)
+        assert accs[0] == accs[1] == accs[2]
 
     def test_single_class_rejected(self):
         data = toy_set([0] * 12)
