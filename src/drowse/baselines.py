@@ -30,6 +30,7 @@ LR_L2 = 1e-4
 SHRINKAGE = 1e-3
 GNB_VAR_FLOOR = 1e-9
 KNN_K = 5
+FUZZY_WIDTH = 2  # the fuzzy membership exponent of Chen et al. 2007
 
 
 # -- spectral features ---------------------------------------------------------
@@ -213,9 +214,8 @@ def sample_entropy(x: np.ndarray, m: int = 2, r: float | None = None) -> float:
     return _sample_and_approximate_entropy(x, m, r)[0]
 
 
-def fuzzy_entropy(x: np.ndarray, m: int = 2, r: float | None = None,
-                  width: int = 2) -> float:
-    """FuzzyEn: ln phi(m) - ln phi(m+1) with similarity exp(-d^width / r).
+def fuzzy_entropy(x: np.ndarray, m: int = 2, r: float | None = None) -> float:
+    """FuzzyEn: ln phi(m) - ln phi(m+1) with similarity exp(-d^FUZZY_WIDTH / r).
 
     Templates are baseline-removed (their own mean subtracted) before the
     Chebyshev distance; both template lengths use n-m templates. The mean
@@ -237,7 +237,7 @@ def fuzzy_entropy(x: np.ndarray, m: int = 2, r: float | None = None,
         templates = sliding_window_view(x, mm)[:n_templates]
         templates = templates - templates.mean(axis=1, keepdims=True)
         mu = _lagwise_chebyshev(templates)
-        mu **= width
+        mu **= FUZZY_WIDTH
         np.divide(mu, -r, out=mu)
         np.exp(mu, out=mu)
         return (mu.sum() - n_templates) / (n_templates * (n_templates - 1))
@@ -378,8 +378,7 @@ def predict_classifier(model: ClassifierModel, features: np.ndarray) -> np.ndarr
     return (scores[:, 1] > scores[:, 0]).astype(np.int64)
 
 
-def loso_accuracies(features: np.ndarray, labels, subjects, clf_kind: str,
-                    k: int = KNN_K) -> tuple:
+def loso_accuracies(features: np.ndarray, labels, subjects, clf_kind: str) -> tuple:
     """Leave-one-subject-out accuracy per subject for one feature matrix."""
     labels = np.asarray(labels, dtype=np.int64)
     subjects = np.asarray(subjects)
@@ -387,7 +386,7 @@ def loso_accuracies(features: np.ndarray, labels, subjects, clf_kind: str,
     accs = []
     for sid in subject_ids:
         test = subjects == sid
-        model = fit_classifier(clf_kind, features[~test], labels[~test], k=k)
+        model = fit_classifier(clf_kind, features[~test], labels[~test])
         pred = predict_classifier(model, features[test])
         accs.append(float((pred == labels[test]).mean()))
     return subject_ids, np.array(accs)

@@ -5,12 +5,16 @@ turned into labeled 3-second samples at 128 Hz: reaction-time labeling,
 anti-aliased 500 -> 128 Hz resampling, per-subject session selection and
 class balancing, binary file formats for both stages, and a synthetic
 generator with known spectral class signatures for desk-scale testing.
+SampleSet is the one sample container from extraction to file: windows
+are resampled straight into its rows, and EegSample is only the one-row
+view that indexing a SampleSet returns.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -51,7 +55,8 @@ _EEGD_ROW = np.dtype([("subject", "<u2"), ("label", "u1"), ("pad", "u1"),
 
 @dataclass
 class EegSample:
-    """One 3-second single-channel window: 384 points (uV) at 128 Hz."""
+    """One 3-second single-channel window, 384 points (uV) at 128 Hz: the
+    one-row view that indexing a SampleSet returns."""
 
     subject_id: int
     label: int
@@ -71,7 +76,7 @@ class EegSample:
 
 @dataclass
 class SampleSet:
-    """Array-backed collection of EegSample rows.
+    """The one sample container, from extraction to file.
 
     data is [n, 384] float32, labels uint8 in {0,1}, subjects uint16.
     Immutable by convention once built.
@@ -83,17 +88,21 @@ class SampleSet:
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float32)
-        self.labels = np.asarray(self.labels, dtype=np.uint8)
-        self.subjects = np.asarray(self.subjects, dtype=np.uint16)
+        labels, subjects = np.asarray(self.labels), np.asarray(self.subjects)
         n = self.data.shape[0]
         if self.data.ndim != 2 or self.data.shape[1] != SAMPLE_POINTS:
             raise ValueError(f"data must be [n, {SAMPLE_POINTS}], got {self.data.shape}")
-        if self.labels.shape != (n,) or self.subjects.shape != (n,):
+        if labels.shape != (n,) or subjects.shape != (n,):
             raise ValueError("labels/subjects length mismatch with data")
         if not np.all(np.isfinite(self.data)):
             raise ValueError("data contains non-finite values")
-        if n and self.labels.max() > 1:
+        # check the raw values: the casts below would wrap them silently
+        if np.any((labels != 0) & (labels != 1)):
             raise ValueError("labels must be 0 or 1")
+        if np.any((subjects < 0) | (subjects > 65535)):
+            raise ValueError("subject ids must lie in [0, 65535]")
+        self.labels = labels.astype(np.uint8, copy=False)
+        self.subjects = subjects.astype(np.uint16, copy=False)
 
     def __len__(self):
         return self.data.shape[0]
@@ -109,17 +118,6 @@ class SampleSet:
             and np.array_equal(self.labels, other.labels)
             and np.array_equal(self.subjects, other.subjects)
         )
-
-    @classmethod
-    def from_samples(cls, samples) -> "SampleSet":
-        samples = list(samples)
-        if not samples:
-            return cls(np.zeros((0, SAMPLE_POINTS), dtype=np.float32),
-                       np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.uint16))
-        data = np.stack([s.samples for s in samples])
-        labels = np.array([s.label for s in samples], dtype=np.uint8)
-        subjects = np.array([s.subject_id for s in samples], dtype=np.uint16)
-        return cls(data, labels, subjects)
 
     def subject_ids(self) -> list:
         return sorted(int(s) for s in np.unique(self.subjects))
@@ -226,9 +224,7 @@ def label_session(session: SessionRecord) -> list:
 
 # -- resampling ---------------------------------------------------------------
 
-_FILTER_BRANCHES = None
-
-
+@cache
 def _filter_branches() -> list:
     """Polyphase decomposition of the windowed-sinc low-pass.
 
@@ -236,20 +232,13 @@ def _filter_branches() -> list:
     unit sum so the DC gain is exactly 1 (this also absorbs the factor 32
     that compensates zero-stuffing).
     """
-    global _FILTER_BRANCHES
-    if _FILTER_BRANCHES is None:
-        k = np.arange(RESAMPLE_TAPS, dtype=np.float64)
-        center = (RESAMPLE_TAPS - 1) // 2
-        # normalized cutoff at the virtual 16 kHz rate
-        cut = 2.0 * RESAMPLE_CUTOFF_HZ / (SESSION_RATE_HZ * RESAMPLE_UP)
-        taps = cut * np.sinc(cut * (k - center)) * np.kaiser(RESAMPLE_TAPS, _KAISER_BETA)
-        branches = []
-        for p in range(RESAMPLE_UP):
-            b = taps[p::RESAMPLE_UP].copy()
-            b /= b.sum()
-            branches.append(b)
-        _FILTER_BRANCHES = branches
-    return _FILTER_BRANCHES
+    k = np.arange(RESAMPLE_TAPS, dtype=np.float64)
+    center = (RESAMPLE_TAPS - 1) // 2
+    # normalized cutoff at the virtual 16 kHz rate
+    cut = 2.0 * RESAMPLE_CUTOFF_HZ / (SESSION_RATE_HZ * RESAMPLE_UP)
+    taps = cut * np.sinc(cut * (k - center)) * np.kaiser(RESAMPLE_TAPS, _KAISER_BETA)
+    branches = [taps[p::RESAMPLE_UP] for p in range(RESAMPLE_UP)]
+    return [b / b.sum() for b in branches]
 
 
 def resample_500_to_128(x: np.ndarray) -> np.ndarray:
@@ -293,7 +282,7 @@ class SessionSamples:
 
     subject_id: int
     session_id: int
-    samples: list
+    samples: SampleSet
     local_rts: np.ndarray
 
     def __post_init__(self):
@@ -301,15 +290,12 @@ class SessionSamples:
         if self.local_rts.shape != (len(self.samples),):
             raise ValueError("one local RT per sample required")
 
-    def counts(self) -> tuple:
-        n_drowsy = sum(s.label for s in self.samples)
-        return len(self.samples) - n_drowsy, n_drowsy
-
 
 def session_samples(session: SessionRecord, labels, subject_id: int,
                     session_id: int) -> SessionSamples:
-    """Cut the 3 s window preceding each non-excluded event, resample it,
-    and keep the event's local RT for balancing.
+    """Cut the 3 s window preceding each non-excluded event, resample it
+    into one row of the session's SampleSet, and keep the event's local RT
+    for balancing.
 
     Events starting less than 3 s into the recording are skipped.
     """
@@ -318,23 +304,22 @@ def session_samples(session: SessionRecord, labels, subject_id: int,
     if len(labels) != session.events.shape[0]:
         raise ValueError("one label per event required")
     window = 3 * SESSION_RATE_HZ
-    samples, rts = [], []
-    for lab, event in zip(labels, session.events):
-        end = int(round(event[0] * session.rate))
-        if lab.verdict == EXCLUDED or end < window:
-            continue
-        resampled = resample_500_to_128(session.signal[end - window : end])
-        label = 0 if lab.verdict == ALERT else 1
-        samples.append(EegSample(subject_id, label, resampled.astype(np.float32)))
-        rts.append(lab.local_rt_s)
-    return SessionSamples(subject_id, session_id, samples, np.array(rts))
+    ends = [int(round(event[0] * session.rate)) for event in session.events]
+    kept = [(lab, end) for lab, end in zip(labels, ends)
+            if lab.verdict != EXCLUDED and end >= window]
+    data = np.empty((len(kept), SAMPLE_POINTS), dtype=np.float32)
+    for row, (_, end) in zip(data, kept):
+        row[:] = resample_500_to_128(session.signal[end - window : end])
+    samples = SampleSet(data, [lab.verdict != ALERT for lab, _ in kept],
+                        np.full(len(kept), subject_id))
+    return SessionSamples(subject_id, session_id, samples,
+                          [lab.local_rt_s for lab, _ in kept])
 
 
-def _trim_majority(sess: SessionSamples) -> list:
+def _trim_majority(sess: SessionSamples) -> SampleSet:
     """Equalize class counts: drop longest-RT alert / shortest-RT drowsy samples."""
-    labels = np.array([s.label for s in sess.samples])
-    n_alert = int((labels == 0).sum())
-    n_drowsy = int((labels == 1).sum())
+    labels = sess.samples.labels
+    n_alert, n_drowsy = sess.samples.class_counts(sess.subject_id)
     keep = np.ones(labels.size, dtype=bool)
     if n_alert > n_drowsy:
         pos = np.flatnonzero(labels == 0)
@@ -344,7 +329,7 @@ def _trim_majority(sess: SessionSamples) -> list:
         pos = np.flatnonzero(labels == 1)
         order = np.argsort(-sess.local_rts[pos], kind="stable")
         keep[pos[order[n_alert:]]] = False
-    return [s for s, k in zip(sess.samples, keep) if k]
+    return sess.samples.subset(keep)
 
 
 def balance(sessions) -> SampleSet:
@@ -355,23 +340,21 @@ def balance(sessions) -> SampleSet:
     larger total, then lower session id); the majority class is trimmed to
     the minority count keeping shortest-RT alert / longest-RT drowsy samples.
     """
-    eligible = [s for s in sessions
-                if min(s.counts()) >= MIN_CLASS_PER_SESSION]
     by_subject = {}
-    for sess in eligible:
-        by_subject.setdefault(sess.subject_id, []).append(sess)
+    for sess in sessions:
+        if min(sess.samples.class_counts(sess.subject_id)) >= MIN_CLASS_PER_SESSION:
+            by_subject.setdefault(sess.subject_id, []).append(sess)
 
-    kept = []
-    for subject in sorted(by_subject):
-        candidates = by_subject[subject]
-        def rank(s):
-            n_alert, n_drowsy = s.counts()
-            return (abs(n_alert - n_drowsy), -(n_alert + n_drowsy), s.session_id)
-        best = min(candidates, key=rank)
-        kept.extend(_trim_majority(best))
+    def rank(s):
+        n_alert, n_drowsy = s.samples.class_counts(s.subject_id)
+        return (abs(n_alert - n_drowsy), -(n_alert + n_drowsy), s.session_id)
+
+    kept = [_trim_majority(min(by_subject[subject], key=rank)) for subject in sorted(by_subject)]
     if not kept:
         raise ValueError("no session survived balancing")
-    return SampleSet.from_samples(kept)
+    return SampleSet(np.concatenate([s.data for s in kept]),
+                     np.concatenate([s.labels for s in kept]),
+                     np.concatenate([s.subjects for s in kept]))
 
 
 # -- file formats -------------------------------------------------------------
@@ -503,7 +486,7 @@ def generate_synthetic(n_subjects: int, per_class: int, seed: int) -> SampleSet:
     if per_class < 10:
         raise ValueError("need at least 10 samples per class")
     base = Rng(seed)
-    samples = []
+    data = np.empty((n_subjects, 2, per_class, SAMPLE_POINTS), dtype=np.float32)
     for subject in range(1, n_subjects + 1):
         traits = base.split("traits", subject)
         alpha_hz = traits.uniform(low=9.0, high=11.0)
@@ -516,5 +499,7 @@ def generate_synthetic(n_subjects: int, per_class: int, seed: int) -> SampleSet:
                     sig = _alert_signal(rng, gain, noise_uv)
                 else:
                     sig = _drowsy_signal(rng, alpha_hz, gain, noise_uv)
-                samples.append(EegSample(subject, label, sig.astype(np.float32)))
-    return SampleSet.from_samples(samples)
+                data[subject - 1, label, i] = sig
+    labels = np.tile(np.repeat([0, 1], per_class), n_subjects)
+    subjects = np.repeat(np.arange(1, n_subjects + 1), 2 * per_class)
+    return SampleSet(data.reshape(-1, SAMPLE_POINTS), labels, subjects)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import threading
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,10 +49,6 @@ class Rng:
     def __init__(self, seed: int):
         self._seed = np.uint64(int(seed) & _MASK64)
         self._count = 0
-
-    @property
-    def seed(self) -> int:
-        return int(self._seed)
 
     def raw64(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit words as a uint64 array."""
@@ -173,25 +170,20 @@ def softmax_rows(v: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-_DFT_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@lru_cache(maxsize=8)
 def _dft_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _DFT_CACHE:
-        k = np.arange(n // 2 + 1)[:, None]
-        t = np.arange(n)[None, :]
-        ang = 2.0 * np.pi * k * t / n
-        _DFT_CACHE[n] = (np.cos(ang), np.sin(ang))
-        if len(_DFT_CACHE) > 8:
-            _DFT_CACHE.pop(next(iter(_DFT_CACHE)))
-    return _DFT_CACHE[n]
+    k = np.arange(n // 2 + 1)[:, None]
+    t = np.arange(n)[None, :]
+    ang = 2.0 * np.pi * k * t / n
+    return np.cos(ang), np.sin(ang)
 
 
 def dft_power(signal: np.ndarray, rate: float) -> tuple[np.ndarray, np.ndarray]:
     """One-sided DFT power spectrum of a real signal.
 
-    Direct O(n^2) transform, intended as a slow, transparent reference for
-    the faster spectral estimators. Bin powers satisfy Parseval exactly:
+    Direct O(n^2) transform against cached cos/sin matrices; welch_psd
+    runs it on every segment, and it is the only spectral transform in the
+    package. Bin powers satisfy Parseval exactly:
     ``sum(power) == mean(signal**2)`` up to rounding.
 
     Returns (frequencies in Hz, power per bin).

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -47,22 +48,17 @@ EVAL_CHUNK = 256
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
+    # Adam's step size, and Kingma & Ba's (arXiv 1412.6980) moment decays and epsilon
+    learning_rate: ClassVar[float] = 0.01
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    adam_eps: ClassVar[float] = 1e-8
     batch_size: int = 50
     max_epochs: int = 50
     repeats: int = 10
     seed: int = 1
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("beta1/beta2 must lie in [0, 1)")
-        if self.adam_eps <= 0:
-            raise ValueError("adam_eps must be positive")
         if self.batch_size < 2:
             raise ValueError("batch size must be at least 2 (batch norm)")
         if not 1 <= self.max_epochs <= 50:

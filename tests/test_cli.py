@@ -162,6 +162,15 @@ class TestPrepare:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_subject_id_beyond_uint16_is_runtime_error(self, tmp_path, capsys):
+        # a .eegd subject id is 16 bits; 70000 must not be written as 4464
+        write_rt_session(tmp_path / "s70000_1.eegs")
+        code = run("prepare", str(tmp_path / "s70000_1.eegs"),
+                   "--out", str(tmp_path / "out.eegd"))
+        assert code == 2
+        assert "subject" in capsys.readouterr().err
+        assert not (tmp_path / "out.eegd").exists()
+
     def test_undigited_filename_is_usage_error(self, tmp_path, capsys):
         write_rt_session(tmp_path / "nodigits.eegs")
         code = run("prepare", str(tmp_path / "nodigits.eegs"),

@@ -6,7 +6,6 @@ from drowse.dataio import (
     ALERT,
     DROWSY,
     EXCLUDED,
-    EegSample,
     SampleSet,
     SessionRecord,
     SessionSamples,
@@ -30,12 +29,6 @@ def make_session(onsets, rts, rate=500):
     events = np.column_stack([onsets, onsets + rts, onsets + rts + 0.1])
     n_points = int((events[:, 2].max() + 1.0) * rate)
     return SessionRecord(rate, np.zeros(n_points), events)
-
-
-def tagged_sample(subject, label, tag):
-    samples = np.zeros(384, dtype=np.float32)
-    samples[0] = tag
-    return EegSample(subject, label, samples)
 
 
 class TestVerdictRule:
@@ -172,12 +165,30 @@ class TestExtractWindows:
         expected = 7.0 + np.arange(384) / 128.0
         np.testing.assert_allclose(first.samples[48:336], expected[48:336], atol=1e-3)
 
+    def test_rows_are_the_resampled_windows_in_event_order(self):
+        session = self.ramp_session()
+        session.signal = Rng(9).normal(session.signal.shape)
+        labels = label_session(session)
+        for l, verdict in zip(labels, [ALERT, DROWSY, EXCLUDED, ALERT] * 5):
+            l.verdict = verdict
+        out = session_samples(session, labels, 3, 4)
+        kept = [i for i, l in enumerate(labels) if i > 0 and l.verdict != EXCLUDED]
+        assert len(out.samples) == len(kept) == 14
+        for row, i in zip(out.samples.data, kept):
+            end = int(round(session.events[i, 0] * 500))
+            expected = resample_500_to_128(session.signal[end - 1500:end]).astype(np.float32)
+            np.testing.assert_array_equal(row, expected)
+        np.testing.assert_array_equal(out.samples.labels,
+                                      [int(labels[i].verdict == DROWSY) for i in kept])
+        np.testing.assert_array_equal(out.samples.subjects, 3)
+        np.testing.assert_array_equal(out.local_rts, [labels[i].local_rt_s for i in kept])
+
     def test_excluded_events_skipped(self):
         session = self.ramp_session()
         labels = label_session(session)
         for l in labels:
             l.verdict = EXCLUDED
-        assert session_samples(session, labels, 0, 0).samples == []
+        assert len(session_samples(session, labels, 0, 0).samples) == 0
 
     def test_drowsy_label_mapping(self):
         session = self.ramp_session()
@@ -185,7 +196,7 @@ class TestExtractWindows:
         for l in labels:
             l.verdict = DROWSY
         out = session_samples(session, labels, 0, 0).samples
-        assert {s.label for s in out} == {1}
+        assert set(out.labels) == {1}
 
     def test_wrong_rate(self):
         session = self.ramp_session()
@@ -196,15 +207,13 @@ class TestExtractWindows:
 
 
 def session_of(subject, session_id, alert_rts, drowsy_rts):
-    samples = []
-    rts = []
-    for i, rt in enumerate(alert_rts):
-        samples.append(tagged_sample(subject, 0, 1000 + i))
-        rts.append(rt)
-    for i, rt in enumerate(drowsy_rts):
-        samples.append(tagged_sample(subject, 1, 2000 + i))
-        rts.append(rt)
-    return SessionSamples(subject, session_id, samples, np.array(rts, dtype=float))
+    """Alert rows tagged 1000 + i and drowsy rows 2000 + i in their first point."""
+    n_alert, n_drowsy = len(alert_rts), len(drowsy_rts)
+    data = np.zeros((n_alert + n_drowsy, 384), dtype=np.float32)
+    data[:, 0] = np.concatenate([1000 + np.arange(n_alert), 2000 + np.arange(n_drowsy)])
+    labels = [0] * n_alert + [1] * n_drowsy
+    samples = SampleSet(data, labels, np.full(len(labels), subject))
+    return SessionSamples(subject, session_id, samples, list(alert_rts) + list(drowsy_rts))
 
 
 class TestBalance:
@@ -271,6 +280,17 @@ class TestBalance:
     def test_everything_dropped(self):
         with pytest.raises(ValueError, match="no session"):
             balance([session_of(1, 1, [0.5] * 10, [2.0] * 10)])
+
+
+class TestSampleSetValues:
+    def test_label_outside_0_1_is_not_wrapped(self):
+        with pytest.raises(ValueError, match="labels"):
+            SampleSet(np.zeros((2, 384)), np.array([0, 257]), np.array([1, 2]))
+
+    def test_subject_outside_uint16_is_not_wrapped(self):
+        for subjects in (np.array([70000]), np.array([-1]), [70000]):
+            with pytest.raises(ValueError, match="subject"):
+                SampleSet(np.zeros((1, 384)), [0], subjects)
 
 
 class TestSampleSetIO:

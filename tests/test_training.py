@@ -122,10 +122,6 @@ class TestTrainConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(beta1=1.0)
-        with pytest.raises(ValueError):
             TrainConfig(batch_size=1)
         with pytest.raises(ValueError):
             TrainConfig(max_epochs=51)
