@@ -40,7 +40,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_threads(value) -> int:
-    """--threads flag, else DROWSE_THREADS, else the machine's core count."""
+    """--threads flag, else DROWSE_THREADS, else the cores this process may run on."""
     if value is None:
         env = os.environ.get("DROWSE_THREADS", "").strip()
         if env:
@@ -49,7 +49,9 @@ def _resolve_threads(value) -> int:
             except ValueError:
                 raise UsageError(f"DROWSE_THREADS must be an integer, got {env!r}")
         else:
-            value = os.cpu_count() or 1
+            # sched_getaffinity honours taskset and cpusets; cpu_count counts the host
+            value = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1)
     if value < 1:
         raise UsageError("thread count must be at least 1")
     return value
@@ -250,7 +252,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--batch", type=int, default=50, help="batch size (default 50)")
     p.add_argument("--seed", type=int, default=1, help="run seed (default 1)")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker processes (default: DROWSE_THREADS, else all cores)")
+                   help="worker processes (default: DROWSE_THREADS, else the cores "
+                        "this process may run on)")
     p.set_defaults(func=cmd_loso)
 
     p = sub.add_parser("explain", help="write heatmaps for one sample",

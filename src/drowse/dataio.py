@@ -56,22 +56,12 @@ _EEGD_ROW = np.dtype([("subject", "<u2"), ("label", "u1"), ("pad", "u1"),
 @dataclass
 class EegSample:
     """One 3-second single-channel window, 384 points (uV) at 128 Hz: the
-    one-row view that indexing a SampleSet returns."""
+    one-row float32 copy that indexing a SampleSet returns. The SampleSet
+    has checked its values, so this class checks nothing."""
 
     subject_id: int
     label: int
-    samples: np.ndarray
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float32)
-        if self.samples.shape != (SAMPLE_POINTS,):
-            raise ValueError(f"expected {SAMPLE_POINTS} points, got {self.samples.shape}")
-        if not np.all(np.isfinite(self.samples)):
-            raise ValueError("sample contains non-finite values")
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 (alert) or 1 (drowsy), got {self.label}")
-        if not 0 <= self.subject_id < 65536:
-            raise ValueError(f"subject_id out of range: {self.subject_id}")
+    samples: np.ndarray  # float32
 
 
 @dataclass
@@ -99,8 +89,9 @@ class SampleSet:
         # check the raw values: the casts below would wrap them silently
         if np.any((labels != 0) & (labels != 1)):
             raise ValueError("labels must be 0 or 1")
-        if np.any((subjects < 0) | (subjects > 65535)):
-            raise ValueError("subject ids must lie in [0, 65535]")
+        # a NaN differs from its floor, so it is refused with the fractions
+        if np.any((subjects < 0) | (subjects > 65535) | (subjects != np.floor(subjects))):
+            raise ValueError("subject ids must be integers in [0, 65535]")
         self.labels = labels.astype(np.uint8, copy=False)
         self.subjects = subjects.astype(np.uint16, copy=False)
 

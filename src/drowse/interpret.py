@@ -1,10 +1,10 @@
 """Heatmaps that localize the evidence behind a classification.
 
 The hidden state of every LSTM step is pushed through a softmax, giving the
-likelihood evolution of the predicted class over the steps (48 by default).
-Repeating each value over its pooling window maps it back onto the input
-points (accumulated heatmap); normalized first differences of the evolution
-mark where the likelihood moved (relative heatmap).
+likelihood evolution of the predicted class over the 48 steps of a 384-point
+sample, network.POOL points each. Repeating each value over its pooling window
+maps it back onto the input points (accumulated heatmap); normalized first
+differences of the evolution mark where the likelihood moved (relative heatmap).
 """
 
 from __future__ import annotations
@@ -13,8 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import NetConfig, model_forward
+from .dataio import SAMPLE_POINTS
+from .network import POOL, model_forward
 from .numerics import normalize_mean_std, softmax_rows
+
+STEPS = SAMPLE_POINTS // POOL  # LSTM steps over one sample
 
 
 @dataclass
@@ -25,7 +28,6 @@ class HeatmapPair:
     likelihoods: np.ndarray  # final [p_alert, p_drowsy]
     m_rel: np.ndarray
     m_acc: np.ndarray
-    pool: int  # input points per LSTM step
 
 
 def hidden_likelihoods(trace, c: int) -> np.ndarray:
@@ -41,15 +43,15 @@ def hidden_likelihoods(trace, c: int) -> np.ndarray:
     return softmax_rows(hidden[:, 0, :])[:, c]
 
 
-def accumulated_heatmap(likelihoods: np.ndarray, config: NetConfig = NetConfig()) -> np.ndarray:
+def accumulated_heatmap(likelihoods: np.ndarray) -> np.ndarray:
     """Repeat each per-step likelihood over its pooling window, preserving order."""
     likelihoods = np.asarray(likelihoods, dtype=np.float64)
-    if likelihoods.shape != (config.seq_len,):
-        raise ValueError(f"expected {config.seq_len} likelihood values, got {likelihoods.shape}")
-    return np.repeat(likelihoods, config.pool)
+    if likelihoods.shape != (STEPS,):
+        raise ValueError(f"expected {STEPS} likelihood values, got {likelihoods.shape}")
+    return np.repeat(likelihoods, POOL)
 
 
-def relative_heatmap(likelihoods: np.ndarray, config: NetConfig = NetConfig()) -> np.ndarray:
+def relative_heatmap(likelihoods: np.ndarray) -> np.ndarray:
     """Normalized likelihood increments, repeated over each pooling window.
 
     The step-0 likelihood is defined as 0, so the first increment is the
@@ -58,25 +60,23 @@ def relative_heatmap(likelihoods: np.ndarray, config: NetConfig = NetConfig()) -
     only for an all-zero likelihood input) maps to an all-zero heatmap.
     """
     likelihoods = np.asarray(likelihoods, dtype=np.float64)
-    if likelihoods.shape != (config.seq_len,):
-        raise ValueError(f"expected {config.seq_len} likelihood values, got {likelihoods.shape}")
+    if likelihoods.shape != (STEPS,):
+        raise ValueError(f"expected {STEPS} likelihood values, got {likelihoods.shape}")
     deltas = np.diff(likelihoods, prepend=0.0)
-    return np.repeat(normalize_mean_std(deltas), config.pool)
+    return np.repeat(normalize_mean_std(deltas), POOL)
 
 
-def explain_sample(sample, params, net_config: NetConfig | None = None) -> HeatmapPair:
+def explain_sample(sample, params) -> HeatmapPair:
     """Run one sample in eval mode and build both heatmaps for the argmax class."""
-    net_config = net_config or NetConfig()
     x = np.asarray(sample.samples, dtype=np.float64)[None, None, :]
-    probs, trace = model_forward(x, params, "eval", net_config)
+    probs, trace = model_forward(x, params, "eval")
     c = int(np.argmax(probs[0]))
     evolution = hidden_likelihoods(trace, c)
     return HeatmapPair(
         predicted_class=c,
         likelihoods=probs[0],
-        m_rel=relative_heatmap(evolution, net_config),
-        m_acc=accumulated_heatmap(evolution, net_config),
-        pool=net_config.pool,
+        m_rel=relative_heatmap(evolution),
+        m_acc=accumulated_heatmap(evolution),
     )
 
 
@@ -132,11 +132,10 @@ def render_svg(pair: HeatmapPair, signal: np.ndarray) -> str:
              f'height="{height}" viewBox="0 0 {width} {height}">',
              f'<rect width="{width}" height="{height}" fill="white"/>']
     # relative heatmap as colored background strips, one per LSTM step
-    pool = pair.pool
-    for block in range(n // pool):
-        x0 = xs[block * pool]
-        x1 = xs[min((block + 1) * pool, n - 1)]
-        color = _diverging_color(pair.m_rel[block * pool])
+    for block in range(n // POOL):
+        x0 = xs[block * POOL]
+        x1 = xs[min((block + 1) * POOL, n - 1)]
+        color = _diverging_color(pair.m_rel[block * POOL])
         parts.append(f'<rect x="{x0:.2f}" y="{gap}" width="{x1 - x0:.2f}" '
                      f'height="{panel_h}" fill="{color}"/>')
     parts.append(_polyline(xs, y_sig, "black", 0.8))

@@ -11,6 +11,13 @@ backpropagation through time over the LSTM and through the batch
 statistics of the normalization layer. Model files store binary32, and
 ModelParams holds float64.
 
+The parameters' shapes are the architecture: the kernel count and length
+are those of conv_w, and the input length is the batch's. Only the
+pooling window is fixed, at POOL input points per LSTM step. init_params
+and load_params, which create the tensors, are the only functions that
+take a size. Nothing checks a hand-built ModelParams for consistency:
+numpy raises ValueError where mismatched tensors meet.
+
 model_forward and model_gradients compute in the dtype
 np.result_type(input dtype, float32): float32 input (the samples of a
 SampleSet) runs in float32, float64 or int64 input runs in float64. The
@@ -70,28 +77,7 @@ from .numerics import Rng, Workspace, assert_finite, sigmoid, softmax_rows
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1  # new_running = (1 - m) * old + m * batch
 N_CLASSES = 2  # labels are 0 (alert) and 1 (drowsy); also the LSTM hidden size
-
-
-@dataclass(frozen=True)
-class NetConfig:
-    """Architecture hyperparameters. Defaults give the full-size model:
-    32 kernels of length 64 over 384-point inputs, pooled by 8 into a
-    48-step sequence with a 2-dimensional hidden state."""
-
-    kernels: int = 32
-    kernel_len: int = 64
-    n_samples: int = 384
-    pool: int = 8
-
-    def __post_init__(self):
-        if self.n_samples % self.pool != 0:
-            raise ValueError("n_samples must be divisible by the pooling window")
-        if min(self.kernels, self.kernel_len, self.n_samples, self.pool) < 1:
-            raise ValueError("all architecture sizes must be positive")
-
-    @property
-    def seq_len(self) -> int:
-        return self.n_samples // self.pool
+POOL = 8  # input points per LSTM step
 
 
 # Serialized tensor names, in canonical file order. Each maps to the
@@ -156,30 +142,19 @@ def _compute_dtype(x: np.ndarray) -> np.dtype:
     return np.result_type(x.dtype, np.float32)
 
 
-def expected_shapes(config: NetConfig) -> dict[str, tuple[int, ...]]:
-    k, length, d = config.kernels, config.kernel_len, N_CLASSES
-    return {
-        "conv_w": (k, 1, length),
-        "bn_gamma": (k,),
-        "bn_beta": (k,),
-        "bn_run_mean": (k,),
-        "bn_run_var": (k,),
-        "lstm_w": (4 * d, k),
-        "lstm_u": (4 * d, d),
-        "lstm_b": (4 * d,),
-    }
-
-
 def _glorot(rng: Rng, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(shape, -bound, bound)
 
 
-def init_params(rng: Rng, config: NetConfig = NetConfig()) -> ModelParams:
+def init_params(rng: Rng, kernels: int = 32, kernel_len: int = 64) -> ModelParams:
     """Glorot-uniform weights, zero biases except a forget bias of 1,
     identity batch-norm affine, unit running variance. Deterministic in
-    the generator's seed (fixed draw order)."""
-    k, length, d = config.kernels, config.kernel_len, N_CLASSES
+    the generator's seed (fixed draw order). The defaults give the
+    full-size model: 32 kernels of length 64, which over a 384-point input
+    pooled by POOL make a 48-step sequence with a 2-dimensional hidden
+    state."""
+    k, length, d = kernels, kernel_len, N_CLASSES
     conv_w = _glorot(rng, (k, 1, length), fan_in=1 * length, fan_out=k * length)
     lstm_w = _glorot(rng, (4 * d, k), fan_in=k, fan_out=d)
     lstm_u = _glorot(rng, (4 * d, d), fan_in=d, fan_out=d)
@@ -417,10 +392,9 @@ class ForwardTrace:
 
 
 def model_forward(
-    batch: np.ndarray, params: ModelParams, mode: str, config: NetConfig = NetConfig(),
-    workspace: Workspace | None = None,
+    batch: np.ndarray, params: ModelParams, mode: str, workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
-    """Full forward pass over a [B, 1, n] batch.
+    """Full forward pass over a [B, 1, n] batch, n a positive multiple of POOL.
 
     Returns per-class probabilities [B, N_CLASSES] (rows sum to 1, float64)
     and the forward trace. Pure: running statistics are not touched;
@@ -432,20 +406,15 @@ def model_forward(
     x = np.asarray(batch)
     dtype = _compute_dtype(x)
     x = x.astype(dtype, copy=False)
-    if x.ndim != 3 or x.shape[1] != 1 or x.shape[2] != config.n_samples:
-        raise ValueError(f"expected batch [B, 1, {config.n_samples}], got {x.shape}")
-    shapes = expected_shapes(config)
-    for attr, want in shapes.items():
-        got = getattr(params, attr).shape
-        if got != want:
-            raise ValueError(f"parameter {attr} has shape {got}, expected {want}")
+    if x.ndim != 3 or x.shape[1] != 1 or x.shape[2] == 0 or x.shape[2] % POOL:
+        raise ValueError(f"expected batch [B, 1, n] with n a multiple of {POOL}, got {x.shape}")
     assert_finite(x, "model input")
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
 
     params = params.astype(dtype)
     ws = Workspace() if workspace is None else workspace
-    windows = _conv_windows(x[:, 0, :], config.kernel_len, ws)
+    windows = _conv_windows(x[:, 0, :], params.conv_w.shape[2], ws)
     conv_out = _conv_apply(windows, params.conv_w, ws)  # [B, n, K]
     shape = conv_out.shape
     if mode == "train":
@@ -456,8 +425,8 @@ def model_forward(
                             params.bn_gamma, params.bn_beta, params.bn_run_var)
         mean = var = None
     elu_out = _elu(bn_out, ws.take("elu", shape, dtype), ws.take("tmp", shape, dtype))
-    lstm_in = _avgpool(elu_out, config.pool,
-                       ws.take("pool", (shape[0], config.seq_len, shape[2]), dtype))  # [B, T, K]
+    lstm_in = _avgpool(elu_out, POOL, ws.take("pool", (shape[0], shape[1] // POOL, shape[2]),
+                                              dtype))  # [B, T, K]
     hidden, lstm_cache = lstm_forward(lstm_in, params)
     probs = softmax_rows(hidden[-1])
     trace = ForwardTrace(
@@ -487,7 +456,6 @@ def model_gradients(
     batch: np.ndarray,
     labels: np.ndarray,
     params: ModelParams,
-    config: NetConfig = NetConfig(),
     workspace: Workspace | None = None,
 ) -> tuple[float, dict[str, np.ndarray], ForwardTrace]:
     """Mean cross-entropy loss and its exact gradients for one train batch.
@@ -506,7 +474,7 @@ def model_gradients(
         raise ValueError("labels out of range")
     ws = Workspace() if workspace is None else workspace
     params = params.astype(_compute_dtype(np.asarray(batch)))
-    probs, trace = model_forward(batch, params, "train", config, ws)
+    probs, trace = model_forward(batch, params, "train", ws)
     loss = cross_entropy(probs, labels)
     if not np.isfinite(loss):
         raise ValueError("non-finite training loss")
@@ -519,9 +487,9 @@ def model_gradients(
 
     dxs, lstm_grads = _lstm_backward(dh_last, trace.lstm_cache, params)  # [B, T, K]
     elu_out = trace.elu_out.transpose(0, 2, 1)  # channels-last [B, n, K]
-    pooled_windows = elu_out.reshape(b, -1, config.pool, elu_out.shape[2])
+    pooled_windows = elu_out.reshape(b, -1, POOL, elu_out.shape[2])
     # Average-pool backward: each window's gradient / pool, broadcast over it.
-    dbn_out = _elu_backward((dxs / config.pool)[:, :, None, :],
+    dbn_out = _elu_backward((dxs / POOL)[:, :, None, :],
                             pooled_windows, ws).reshape(elu_out.shape)
     dconv, dgamma, dbeta = _batchnorm_backward(
         dbn_out, trace.conv_out.transpose(0, 2, 1), trace.bn_mean, trace.bn_var, params.bn_gamma,
@@ -566,15 +534,18 @@ def save_params(params: ModelParams, path) -> None:
             fh.write(arr.tobytes(order="C"))
 
 
-def load_params(path, config: NetConfig = NetConfig()) -> ModelParams:
+def load_params(path, kernels: int = 32, kernel_len: int = 64) -> ModelParams:
     """Read a model file back; raises FormatError on bad magic or version,
     unknown, duplicate or missing tensor names, shape mismatches,
     non-finite values, or truncation. A non-zero conv.b, from a model that
     trained one, is folded into bn.run_mean: (conv + b) - mean = conv - (mean - b)."""
     known = {name.encode("ascii"): (name, attr, block)
              for name, (attr, block) in _TENSOR_ATTRS.items()}
-    tensors = {attr: np.empty(shape) for attr, shape in expected_shapes(config).items()}
-    tensors["conv_b"] = np.empty(config.kernels)
+    d = N_CLASSES
+    tensors = {attr: np.empty(kernels) for attr in (
+        "conv_b", "bn_gamma", "bn_beta", "bn_run_mean", "bn_run_var")}
+    tensors.update(conv_w=np.empty((kernels, 1, kernel_len)), lstm_w=np.empty((4 * d, kernels)),
+                   lstm_u=np.empty((4 * d, d)), lstm_b=np.empty(4 * d))
     seen: set[str] = set()
     with open(path, "rb") as fh:
         expect_magic(fh, _MODEL_MAGIC)

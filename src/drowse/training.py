@@ -11,7 +11,7 @@ At threads > 1 the folds run in a pool of worker processes started with
 the spawn method: each worker is a fresh interpreter, never a fork of a
 parent whose BLAS threads already exist, and it inherits the parent's
 environment, so one BLAS thread (see the package docstring). The pool
-initializer hands each worker both configs and the path of a temporary
+initializer hands each worker the TrainConfig and the path of a temporary
 .eegd copy of the dataset, which the worker reads once; a job is only its
 (subject, repeat) pair. The samples stay out of the pipe through which
 the parent sends a spawned worker its start-up state: the parent holds
@@ -34,13 +34,7 @@ from typing import ClassVar
 import numpy as np
 
 from .dataio import loso_subject_ids, read_sampleset, write_sampleset
-from .network import (
-    NetConfig,
-    init_params,
-    model_forward,
-    model_gradients,
-    updated_running_stats,
-)
+from .network import init_params, model_forward, model_gradients, updated_running_stats
 from .numerics import Rng, thread_workspace
 
 EVAL_CHUNK = 256
@@ -100,8 +94,7 @@ def adam_step(params, grads: dict, state: AdamState, config: TrainConfig):
     return params
 
 
-def train(params, train_set, config: TrainConfig, rng: Rng, on_epoch=None,
-          net_config: NetConfig | None = None):
+def train(params, train_set, config: TrainConfig, rng: Rng, on_epoch=None):
     """Epoch loop: seeded shuffle, fixed-size batches, Adam per batch.
 
     The trailing short batch is dropped when it has fewer than 2 samples
@@ -114,7 +107,6 @@ def train(params, train_set, config: TrainConfig, rng: Rng, on_epoch=None,
     params and the Adam moments stay float64 and take the float32
     gradients.  Returns params after the final epoch.
     """
-    net_config = net_config or NetConfig()
     x = train_set.data[:, None, :]
     y = train_set.labels.astype(np.int64)
     n = x.shape[0]
@@ -132,7 +124,7 @@ def train(params, train_set, config: TrainConfig, rng: Rng, on_epoch=None,
             idx = order[start:start + config.batch_size]
             if idx.size < 2:
                 continue
-            loss, grads, trace = model_gradients(x[idx], y[idx], params, net_config, ws)
+            loss, grads, trace = model_gradients(x[idx], y[idx], params, ws)
             params.bn_run_mean, params.bn_run_var = updated_running_stats(
                 params, trace.bn_mean, trace.bn_var)
             adam_step(params, grads, state, config)
@@ -142,11 +134,10 @@ def train(params, train_set, config: TrainConfig, rng: Rng, on_epoch=None,
     return params
 
 
-def evaluate(params, test_set, net_config: NetConfig | None = None) -> float:
+def evaluate(params, test_set) -> float:
     """Eval-mode accuracy; an exactly tied posterior predicts label 0.
     Every chunk computes in the samples' dtype (float32 for a SampleSet)
     into the thread's workspace."""
-    net_config = net_config or NetConfig()
     n = len(test_set)
     if n == 0:
         raise ValueError("empty test set")
@@ -155,7 +146,7 @@ def evaluate(params, test_set, net_config: NetConfig | None = None) -> float:
     correct = 0
     ws = thread_workspace()
     for start in range(0, n, EVAL_CHUNK):
-        probs, _ = model_forward(x[start:start + EVAL_CHUNK], params, "eval", net_config, ws)
+        probs, _ = model_forward(x[start:start + EVAL_CHUNK], params, "eval", ws)
         # np.argmax takes the first maximum, so a 0.5/0.5 tie predicts 0
         pred = np.argmax(probs, axis=1)
         correct += int((pred == y[start:start + EVAL_CHUNK]).sum())
@@ -196,34 +187,33 @@ class CvReport:
         return self.per_subject_curve()[:, epoch - 1]
 
 
-def _fold_job(data, config, net_config, subject, repeat):
+def _fold_job(data, config, subject, repeat):
     train_set, test_set = loso_split(data, subject)
     rng = Rng(config.seed).split(int(subject), int(repeat))
-    params = init_params(rng, net_config or NetConfig())
+    params = init_params(rng)
     accs = []
 
     def record(epoch, current, mean_loss):
-        accs.append(evaluate(current, test_set, net_config))
+        accs.append(evaluate(current, test_set))
 
-    train(params, train_set, config, rng, on_epoch=record, net_config=net_config)
+    train(params, train_set, config, rng, on_epoch=record)
     return int(subject), int(repeat), accs
 
 
-# A pool worker's (data, config, net_config), set once when it starts.
+# A pool worker's (data, config), set once when it starts.
 _worker_inputs = None
 
 
-def _start_worker(data_path, config, net_config):
+def _start_worker(data_path, config):
     global _worker_inputs
-    _worker_inputs = (read_sampleset(data_path), config, net_config)
+    _worker_inputs = (read_sampleset(data_path), config)
 
 
 def _worker_fold_job(job):
     return _fold_job(*_worker_inputs, *job)
 
 
-def run_loso(data, config: TrainConfig, threads: int = 1,
-             net_config: NetConfig | None = None) -> CvReport:
+def run_loso(data, config: TrainConfig, threads: int = 1) -> CvReport:
     """Leave-one-subject-out evaluation with per-epoch accuracy recording.
 
     Every (subject, repeat) pair trains a fresh model from a seed derived
@@ -255,10 +245,10 @@ def run_loso(data, config: TrainConfig, threads: int = 1,
             with ProcessPoolExecutor(max_workers=min(threads, len(jobs)),
                                      mp_context=multiprocessing.get_context("spawn"),
                                      initializer=_start_worker,
-                                     initargs=(data_path, config, net_config)) as pool:
+                                     initargs=(data_path, config)) as pool:
                 results = list(pool.map(_worker_fold_job, jobs))
     else:
-        results = [_fold_job(data, config, net_config, *job) for job in jobs]
+        results = [_fold_job(data, config, *job) for job in jobs]
 
     accuracies = np.zeros((len(subjects), config.repeats, config.max_epochs))
     row = {subject: i for i, subject in enumerate(subjects)}

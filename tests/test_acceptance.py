@@ -14,12 +14,11 @@ import numpy as np
 import pytest
 
 from drowse import baselines, cli, dataio, interpret, network, training
-from drowse.network import NetConfig
 from drowse.numerics import Rng, dft_power, paired_t_test
 
 from test_baselines import apen_oracle, fuzzyen_oracle, sampen_oracle
 
-REDUCED = NetConfig(kernels=4, kernel_len=8, n_samples=48, pool=4)
+REDUCED = (4, 8)  # kernels and kernel length of the small model, on 48-point inputs
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -29,15 +28,15 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_gradient_check():
     rng = Rng(11)
-    params = network.init_params(rng.split("init"), REDUCED)
-    x = rng.split("x").normal((4, 1, REDUCED.n_samples), std=20.0)
+    params = network.init_params(rng.split("init"), *REDUCED)
+    x = rng.split("x").normal((4, 1, 48), std=20.0)
     labels = np.array([0, 1, 0, 1])
 
     def loss_of(p):
-        probs, _ = network.model_forward(x, p, "train", REDUCED)
+        probs, _ = network.model_forward(x, p, "train")
         return network.cross_entropy(probs, labels)
 
-    _, grads, _ = network.model_gradients(x, labels, params, REDUCED)
+    _, grads, _ = network.model_gradients(x, labels, params)
     h = 1e-5
     worst_rel = worst_abs_small = 0.0
     n_checked = 0
@@ -64,14 +63,13 @@ def test_criterion_1_gradient_check():
 
 def test_criterion_2_heatmap_identities():
     base = Rng(22)
-    config = NetConfig()
     worst_sum = worst_comp = 0.0
     lengths_ok = blocks_ok = True
     for i in range(200):
         draw = base.split("draw", i)
         params = network.init_params(draw.split("init"))
         x = draw.split("x").normal((1, 1, 384), std=25.0)
-        _, trace = network.model_forward(x, params, "eval", config)
+        _, trace = network.model_forward(x, params, "eval")
         lik = [interpret.hidden_likelihoods(trace, c) for c in (0, 1)]
         worst_comp = max(worst_comp, float(np.max(np.abs(lik[0] + lik[1] - 1.0))))
         for values in lik:

@@ -226,6 +226,15 @@ class TestLoso:
         assert code == 1
         assert "DROWSE_THREADS" in capsys.readouterr().err
 
+    def test_default_threads_follow_cpu_affinity(self, monkeypatch):
+        # Under taskset -c 0 on a many-core host: one worker, not one per host core.
+        monkeypatch.delenv("DROWSE_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert cli._resolve_threads(None) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")  # a platform without it
+        assert cli._resolve_threads(None) == 16
+
     def test_thread_count_invariance(self, synth_file, tmp_path):
         # Child processes, so that each sets its own BLAS thread count
         # before numpy loads: worker count x BLAS threads must not matter.

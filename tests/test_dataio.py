@@ -292,6 +292,11 @@ class TestSampleSetValues:
             with pytest.raises(ValueError, match="subject"):
                 SampleSet(np.zeros((1, 384)), [0], subjects)
 
+    def test_non_integer_subject_is_not_truncated(self):
+        for subjects in ([1.5, 2.7], [np.nan, 1.0]):
+            with pytest.raises(ValueError, match="subject"):
+                SampleSet(np.zeros((2, 384)), [0, 1], subjects)
+
 
 class TestSampleSetIO:
     def random_set(self, rng, n):

@@ -16,12 +16,12 @@ from drowse import dataio, network
 from drowse.binio import FormatError
 from drowse.numerics import Rng
 
-SMALL_NET = network.NetConfig(kernels=2, kernel_len=4, n_samples=16, pool=4)
+SMALL_NET = (2, 4)  # kernels and kernel length of a small model
 
 READERS = {
     "eegs": dataio.read_session,
     "eegd": dataio.read_sampleset,
-    "eglm": lambda path: network.load_params(path, SMALL_NET),
+    "eglm": lambda path: network.load_params(path, *SMALL_NET),
 }
 
 
@@ -34,7 +34,7 @@ def _write_valid(kind: str, path) -> None:
         data = rng.normal((3, dataio.SAMPLE_POINTS)).astype(np.float32)
         dataio.write_sampleset(dataio.SampleSet(data, [0, 1, 0], [1, 2, 3]), path)
     else:
-        network.save_params(network.init_params(rng, SMALL_NET), path)
+        network.save_params(network.init_params(rng, *SMALL_NET), path)
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +140,7 @@ def test_eegs_unsorted_events_are_format_error(valid):
     ("bn_run_var", "bn.run_var", float("nan")),
 ])
 def test_eglm_non_finite_value_names_the_tensor(tmp_path, attr, name, value):
-    params = network.init_params(Rng(17), SMALL_NET)
+    params = network.init_params(Rng(17), *SMALL_NET)
     getattr(params, attr).flat[0] = value
     path = tmp_path / "x.eglm"
     network.save_params(params, path)

@@ -15,11 +15,11 @@ from drowse.interpret import (
     relative_heatmap,
     render_svg,
 )
-from drowse.network import NetConfig, init_params, model_forward
+from drowse.network import POOL, init_params, model_forward
 from drowse.numerics import Rng
 from drowse.training import TrainConfig, train
 
-SMALL_NET = NetConfig(kernels=8, kernel_len=16, n_samples=384, pool=8)
+SMALL_NET = (8, 16)  # kernels and kernel length of a small model
 
 
 def read_heatmap_csv(path) -> dict:
@@ -51,9 +51,8 @@ def random_sample(seed, subject=1, label=1):
 def trained():
     """A small model trained to separate the synthetic classes."""
     data = generate_synthetic(4, 30, 1)
-    params = init_params(Rng(3).split(0), SMALL_NET)
-    train(params, data, TrainConfig(max_epochs=10, batch_size=50), Rng(3).split(1),
-          net_config=SMALL_NET)
+    params = init_params(Rng(3).split(0), *SMALL_NET)
+    train(params, data, TrainConfig(max_epochs=10, batch_size=50), Rng(3).split(1))
     return params
 
 
@@ -164,7 +163,7 @@ class TestExplainSample:
         sig = _pink_noise(rng.split("noise"), 2.0)
         sig = sig + _spindle_burst(rng.split("burst"), 10.0, 12.0, 2.1, 2.3)
         sample = EegSample(1, 1, sig.astype(np.float32))
-        pair = explain_sample(sample, trained, SMALL_NET)
+        pair = explain_sample(sample, trained)
         assert pair.predicted_class == 1
         # block 0 is always salient by construction (likelihood starts at 0),
         # so rank the remaining blocks
@@ -207,21 +206,19 @@ class TestEmission:
 
     def test_svg_renders_standalone(self):
         pair = HeatmapPair(1, np.array([0.2, 0.8]), Rng(20).normal((384,)),
-                           Rng(21).uniform((384,)), 8)
+                           Rng(21).uniform((384,)))
         svg = render_svg(pair, Rng(22).normal((384,)))
         ET.fromstring(svg)
 
-    @pytest.mark.parametrize("pool", [4, 16])
-    def test_heatmaps_follow_the_pooling_window(self, tmp_path, pool):
-        config = NetConfig(kernels=8, kernel_len=16, pool=pool)
+    def test_heatmaps_follow_the_pooling_window(self, tmp_path):
         sample = random_sample(23)
-        pair = explain_sample(sample, init_params(Rng(24), config), config)
+        pair = explain_sample(sample, init_params(Rng(24), *SMALL_NET))
         c = pair.predicted_class
         for m in (pair.m_rel, pair.m_acc):
             assert m.shape == (384,)
-            blocks = m.reshape(config.seq_len, pool)
+            blocks = m.reshape(384 // POOL, POOL)
             assert np.all(blocks == blocks[:, :1])
-        np.testing.assert_allclose(pair.m_acc[-pool:], pair.likelihoods[c], atol=1e-12)
+        np.testing.assert_allclose(pair.m_acc[-POOL:], pair.likelihoods[c], atol=1e-12)
         csv_path, svg_path = tmp_path / "heatmap.csv", tmp_path / "heatmap.svg"
         emit_heatmap(pair, sample, csv_path, svg_path)
         back = read_heatmap_csv(csv_path)
@@ -229,4 +226,4 @@ class TestEmission:
         np.testing.assert_allclose(back["m_rel"], pair.m_rel, rtol=1e-7)
         # one strip per LSTM step, plus the background and two panel frames
         rects = ET.fromstring(svg_path.read_text()).findall("{http://www.w3.org/2000/svg}rect")
-        assert len(rects) == config.seq_len + 3
+        assert len(rects) == 384 // POOL + 3

@@ -13,7 +13,7 @@ from drowse.binio import FormatError
 from drowse.dataio import generate_synthetic
 from drowse.network import (
     BN_EPS,
-    NetConfig,
+    POOL,
     ModelParams,
     avgpool,
     batchnorm_eval,
@@ -35,7 +35,7 @@ from drowse.network import (
 )
 from drowse.numerics import Rng, Workspace, softmax_rows
 
-REDUCED = NetConfig(kernels=4, kernel_len=8, n_samples=48, pool=4)
+REDUCED = (4, 8)  # kernels and kernel length of the small model, on 48-point inputs
 
 
 def naive_conv(x, w):
@@ -55,8 +55,8 @@ def naive_conv(x, w):
     return out
 
 
-def loss_of(params, batch, labels, config):
-    probs, _ = model_forward(batch, params, "train", config)
+def loss_of(params, batch, labels):
+    probs, _ = model_forward(batch, params, "train")
     return cross_entropy(probs, labels)
 
 
@@ -108,7 +108,7 @@ class TestConv:
         np.testing.assert_allclose(out, naive_conv(x, w).transpose(0, 2, 1), atol=1e-12)
 
     def test_shape_mismatch(self):
-        # the production conv sits behind model_forward's shape checks
+        # model_forward refuses a bad input shape; numpy, parameters that disagree
         p = init_params(Rng(5))
         with pytest.raises(ValueError):
             model_forward(np.zeros((2, 2, 384)), p, "eval")
@@ -225,11 +225,11 @@ class TestBackwardMatchesReference:
             np.testing.assert_array_equal(got[0][:, 2, :], 0.0)  # gamma = 0
 
 
-def reference_model_gradients(batch, labels, params, config=NetConfig()):
+def reference_model_gradients(batch, labels, params):
     """One train step in the [B, K, n] layout: the conv output as a
     transposed view, the pool gradient through np.repeat and the conv
     gradient through a transposed copy. Returns the loss and gradients."""
-    length, pool = config.kernel_len, config.pool
+    length, pool = params.conv_w.shape[2], POOL
     xpad = np.pad(batch[:, 0, :], ((0, 0), ((length - 1) // 2, length // 2)))
     windows = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(xpad, length, axis=1))
     b, n, _ = windows.shape
@@ -258,10 +258,10 @@ def reference_model_gradients(batch, labels, params, config=NetConfig()):
     return cross_entropy(probs, labels), grads
 
 
-def reference_eval_probs(batch, params, conv_b, config=NetConfig()):
+def reference_eval_probs(batch, params, conv_b):
     """Eval-mode forward in float64 whose conv adds the bias conv_b before
     batch norm, written independently of model_forward."""
-    length, pool = config.kernel_len, config.pool
+    length, pool = params.conv_w.shape[2], POOL
     xpad = np.pad(batch[:, 0, :], ((0, 0), ((length - 1) // 2, length // 2)))
     windows = np.lib.stride_tricks.sliding_window_view(xpad, length, axis=1)  # [B, n, L]
     conv = windows @ params.conv_w[:, 0, :].T + conv_b  # [B, n, K]
@@ -328,10 +328,10 @@ class TestComputeDtype:
         (np.float32, np.float32), (np.float64, np.float64), (np.int64, np.float64)])
     def test_trace_and_gradients_follow_the_input(self, dtype, compute):
         rng = Rng(31)
-        x = np.round(rng.normal((6, 1, REDUCED.n_samples), std=20.0)).astype(dtype)
+        x = np.round(rng.normal((6, 1, 48), std=20.0)).astype(dtype)
         y = np.array([0, 1, 0, 1, 1, 0])
-        p = init_params(rng, REDUCED)
-        _, grads, trace = model_gradients(x, y, p, REDUCED)
+        p = init_params(rng, *REDUCED)
+        _, grads, trace = model_gradients(x, y, p)
         arrays = {name: getattr(trace, name) for name in (
             "conv_windows", "conv_out", "bn_out", "bn_mean", "bn_var", "elu_out", "pool_out",
             "hidden")}
@@ -339,7 +339,7 @@ class TestComputeDtype:
                       for name in ("xs", "gates", "c", "tanh_c", "h"))
         for name, array in {**arrays, **grads}.items():
             assert array.dtype == compute, name
-        eval_probs, eval_trace = model_forward(x, p, "eval", REDUCED)
+        eval_probs, eval_trace = model_forward(x, p, "eval")
         assert eval_trace.hidden.dtype == compute
         # The softmax, and so the probabilities, stay float64; so do params.
         assert trace.probs.dtype == eval_probs.dtype == np.float64
@@ -401,7 +401,7 @@ class TestWorkspace:
         # A full batch, a short final batch (leading-row views), a full one.
         for start, rows in ((0, 50), (50, 20), (70, 50)):
             part = slice(start, start + rows)
-            loss, grads, trace = model_gradients(x[part], y[part], p, NetConfig(), ws)
+            loss, grads, trace = model_gradients(x[part], y[part], p, ws)
             ref_loss, ref, _ = model_gradients(x[part], y[part], p)
             assert loss == ref_loss
             assert grads.keys() == ref.keys()
@@ -411,7 +411,7 @@ class TestWorkspace:
             windows.append(trace.conv_windows)
         assert np.shares_memory(windows[0], windows[1])
         assert np.shares_memory(windows[0], windows[2])
-        probs, _ = model_forward(x, p, "eval", NetConfig(), ws)
+        probs, _ = model_forward(x, p, "eval", ws)
         ref_probs, _ = model_forward(x, p, "eval")
         assert probs.shape == (240, 2)
         np.testing.assert_array_equal(probs, ref_probs)
@@ -423,14 +423,14 @@ class TestWorkspace:
         ws = Workspace()
         for dtype in (np.float32, np.float64, np.float32, np.float64):
             x = data.data[:50, None, :].astype(dtype)
-            loss, grads, trace = model_gradients(x, y, p, NetConfig(), ws)
+            loss, grads, trace = model_gradients(x, y, p, ws)
             ref_loss, ref, ref_trace = model_gradients(x, y, p)
             assert loss == ref_loss
             for name in grads:
                 assert grads[name].dtype == ref[name].dtype == dtype
                 np.testing.assert_array_equal(grads[name], ref[name], err_msg=name)
             np.testing.assert_array_equal(trace.hidden, ref_trace.hidden)
-            probs, _ = model_forward(x, p, "eval", NetConfig(), ws)
+            probs, _ = model_forward(x, p, "eval", ws)
             np.testing.assert_array_equal(probs, model_forward(x, p, "eval")[0])
 
 
@@ -511,29 +511,39 @@ class TestModelForward:
         probs, _ = model_forward(Rng(15).normal((4, 1, 384)), p, "train")
         np.testing.assert_allclose(probs, 0.5, atol=1e-12)
 
+    def test_input_length_is_any_multiple_of_the_pool(self):
+        # The architecture is the parameters': full-size params take 48 points.
+        p = init_params(Rng(11))
+        x = Rng(16).normal((3, 1, 48))
+        probs, trace = model_forward(x, p, "eval")
+        assert probs.shape == (3, 2) and trace.hidden.shape == (48 // POOL, 3, 2)
+        _, grads, _ = model_gradients(x, np.array([0, 1, 1]), p)
+        assert grads["conv_w"].shape == (32, 1, 64)
+
     def test_wrong_length_rejected(self):
         p = init_params(Rng(11))
-        with pytest.raises(ValueError, match="expected batch"):
-            model_forward(np.zeros((2, 1, 100)), p, "eval")
+        for n in (100, 0):
+            with pytest.raises(ValueError, match="expected batch"):
+                model_forward(np.zeros((2, 1, n)), p, "eval")
 
 
 class TestGradients:
     def test_batch_duplication_invariance(self):
-        p = init_params(Rng(21), REDUCED)
+        p = init_params(Rng(21), *REDUCED)
         x = Rng(22).normal((3, 1, 48))
         y = np.array([0, 1, 0])
-        _, g1, _ = model_gradients(x, y, p, REDUCED)
+        _, g1, _ = model_gradients(x, y, p)
         x2 = np.concatenate([x, x], axis=0)
         y2 = np.concatenate([y, y])
-        _, g2, _ = model_gradients(x2, y2, p, REDUCED)
+        _, g2, _ = model_gradients(x2, y2, p)
         for name in g1:
             np.testing.assert_allclose(g1[name], g2[name], atol=1e-12)
 
     def test_finite_difference_all_params(self):
-        p = init_params(Rng(23), REDUCED)
+        p = init_params(Rng(23), *REDUCED)
         x = Rng(24).normal((4, 1, 48))
         y = np.array([0, 1, 1, 0])
-        _, grads, _ = model_gradients(x, y, p, REDUCED)
+        _, grads, _ = model_gradients(x, y, p)
         h = 1e-5
         worst = 0.0
         for name, tensor in p.learnable_items():
@@ -542,9 +552,9 @@ class TestGradients:
             for idx in range(flat.size):
                 orig = flat[idx]
                 flat[idx] = orig + h
-                up = loss_of(p, x, y, REDUCED)
+                up = loss_of(p, x, y)
                 flat[idx] = orig - h
-                down = loss_of(p, x, y, REDUCED)
+                down = loss_of(p, x, y)
                 flat[idx] = orig
                 numeric = (up - down) / (2 * h)
                 analytic = g_flat[idx]
@@ -557,11 +567,11 @@ class TestGradients:
                     assert rel < 1e-4, f"{name}[{idx}]: rel error {rel}"
 
     def test_loss_is_mean_cross_entropy(self):
-        p = init_params(Rng(25), REDUCED)
+        p = init_params(Rng(25), *REDUCED)
         x = Rng(26).normal((4, 1, 48))
         y = np.array([1, 0, 1, 1])
-        loss, _, _ = model_gradients(x, y, p, REDUCED)
-        probs, _ = model_forward(x, p, "train", REDUCED)
+        loss, _, _ = model_gradients(x, y, p)
+        probs, _ = model_forward(x, p, "train")
         expected = -np.mean(np.log(probs[np.arange(4), y]))
         assert loss == pytest.approx(expected, abs=1e-12)
 

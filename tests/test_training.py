@@ -12,7 +12,7 @@ import pytest
 
 import drowse
 from drowse.dataio import SampleSet, generate_synthetic
-from drowse.network import NetConfig, cross_entropy, init_params
+from drowse.network import cross_entropy, init_params
 from drowse.numerics import Rng, paired_t_test
 from drowse.training import (
     AdamState,
@@ -27,11 +27,11 @@ from drowse.training import (
     write_summary_csv,
 )
 
-SMALL_NET = NetConfig(kernels=8, kernel_len=16, n_samples=384, pool=8)
+SMALL_NET = (8, 16)  # kernels and kernel length of a small model
 
 
-def zeroed_lstm(config=None):
-    p = init_params(Rng(4), config or NetConfig())
+def zeroed_lstm():
+    p = init_params(Rng(4))
     for name in ("lstm_w", "lstm_u", "lstm_b"):
         getattr(p, name)[:] = 0.0
     return p
@@ -138,10 +138,10 @@ class TestTrain:
         runs, accs = [], []
 
         def run():
-            params = init_params(Rng(5), SMALL_NET)
+            params = init_params(Rng(5), *SMALL_NET)
             accs.append([])
-            train(params, data, config, Rng(6), net_config=SMALL_NET,
-                  on_epoch=lambda e, p, ml: accs[-1].append(evaluate(p, data, SMALL_NET)))
+            train(params, data, config, Rng(6),
+                  on_epoch=lambda e, p, ml: accs[-1].append(evaluate(p, data)))
             runs.append(params)
 
         run()
@@ -158,29 +158,29 @@ class TestTrain:
 
     def test_single_class_rejected(self):
         data = toy_set([0] * 12)
-        params = init_params(Rng(5), SMALL_NET)
+        params = init_params(Rng(5), *SMALL_NET)
         with pytest.raises(ValueError, match="single class"):
-            train(params, data, TrainConfig(max_epochs=1), Rng(6), net_config=SMALL_NET)
+            train(params, data, TrainConfig(max_epochs=1), Rng(6))
 
     def test_learns_separable_data(self):
         data = generate_synthetic(4, 20, 1)
         config = TrainConfig(max_epochs=15, batch_size=50)
-        params = init_params(Rng(1).split(0), SMALL_NET)
+        params = init_params(Rng(1).split(0), *SMALL_NET)
         accs = []
 
         def record(epoch, current, mean_loss):
-            accs.append(evaluate(current, data, SMALL_NET))
+            accs.append(evaluate(current, data))
 
-        train(params, data, config, Rng(1).split(1), on_epoch=record, net_config=SMALL_NET)
+        train(params, data, config, Rng(1).split(1), on_epoch=record)
         assert max(accs) == 1.0
 
     def test_loss_decreases(self):
         data = generate_synthetic(4, 20, 1)
         config = TrainConfig(max_epochs=5, batch_size=50)
-        params = init_params(Rng(2).split(0), SMALL_NET)
+        params = init_params(Rng(2).split(0), *SMALL_NET)
         losses = []
         train(params, data, config, Rng(2).split(1),
-              on_epoch=lambda e, p, ml: losses.append(ml), net_config=SMALL_NET)
+              on_epoch=lambda e, p, ml: losses.append(ml))
         assert all(b <= a for a, b in zip(losses, losses[1:]))
 
 
@@ -215,7 +215,7 @@ class TestLoso:
         labels = np.tile([0, 0, 1, 1], 11).astype(np.uint8)
         data = SampleSet(Rng(8).normal((44, 384)).astype(np.float32), labels, subjects)
         config = TrainConfig(max_epochs=1, repeats=1, batch_size=4)
-        report = run_loso(data, config, net_config=SMALL_NET)
+        report = run_loso(data, config)
         assert report.accuracies.shape == (11, 1, 1)
         assert report.subjects == list(range(1, 12))
 
@@ -234,8 +234,8 @@ class TestLoso:
     def test_thread_count_does_not_change_report(self):
         data = generate_synthetic(3, 12, 4)
         config = TrainConfig(max_epochs=2, repeats=2, batch_size=24, seed=11)
-        a = run_loso(data, config, threads=1, net_config=SMALL_NET)
-        b = run_loso(data, config, threads=3, net_config=SMALL_NET)
+        a = run_loso(data, config, threads=1)
+        b = run_loso(data, config, threads=3)
         np.testing.assert_array_equal(a.accuracies, b.accuracies)
         assert a.subjects == b.subjects
 
