@@ -126,6 +126,9 @@ def cmd_train(args) -> int:
     from . import network, training
 
     config = _train_config(args)
+    model_dir = os.path.dirname(args.model) or "."
+    if not (os.path.isdir(model_dir) and os.access(model_dir, os.W_OK)):
+        raise OSError(f"{args.model}: directory {model_dir} is missing or not writable")
     data = dataio.read_sampleset(args.data)
     base = Rng(config.seed)
     params = network.init_params(base.split("init"))
@@ -145,9 +148,9 @@ def cmd_loso(args) -> int:
 
     config = _train_config(args, repeats=args.repeats)
     threads = _resolve_threads(args.threads)
+    os.makedirs(args.out, exist_ok=True)
     data = dataio.read_sampleset(args.data)
     report = training.run_loso(data, config, threads=threads)
-    os.makedirs(args.out, exist_ok=True)
     detail_path = os.path.join(args.out, "loso_detail.csv")
     summary_path = os.path.join(args.out, "loso_summary.csv")
     training.write_report_csv(report, detail_path)

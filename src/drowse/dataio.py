@@ -257,8 +257,6 @@ def resample_500_to_128(x: np.ndarray) -> np.ndarray:
     starts = s // RESAMPLE_UP + pad
     for p in range(RESAMPLE_UP):
         sel = np.flatnonzero(phases == p)
-        if sel.size == 0:
-            continue
         b = branches[p]
         idx = starts[sel][:, None] - np.arange(b.size)[None, :]
         out[sel] = xpad[idx] @ b
@@ -402,7 +400,8 @@ def read_session(path) -> SessionRecord:
         rate = read_u32(fh, "sampling rate")
         n_points = read_u64(fh, "point count")
         raw = read_exact(fh, 4 * n_points, "signal")
-        signal = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        with np.errstate(invalid="ignore"):  # a signalling NaN; SessionRecord refuses it
+            signal = np.frombuffer(raw, dtype="<f4").astype(np.float64)
         n_events = read_u32(fh, "event count")
         raw = read_exact(fh, 24 * n_events, "events")
         events = np.frombuffer(raw, dtype="<f8").reshape(n_events, 3)

@@ -567,7 +567,8 @@ def load_params(path, kernels: int = 32, kernel_len: int = 64) -> ModelParams:
                 )
             n_vals = int(np.prod(dims)) if dims else 1
             raw = read_exact(fh, 4 * n_vals, f"values of {name!r}")
-            arr = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(dims)
+            with np.errstate(invalid="ignore"):  # a signalling NaN; refused below
+                arr = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(dims)
             if not np.all(np.isfinite(arr)):
                 raise FormatError(f"tensor {name!r} has non-finite values")
             if name in seen:

@@ -60,20 +60,23 @@ class Rng:
         self._count += int(n)
         return out
 
+    def _unit(self, n: int) -> np.ndarray:
+        # next n draws on the grid k * 2^-53, k in [0, 2^53)
+        return (self.raw64(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
     def uniform(self, shape=None, low: float = 0.0, high: float = 1.0) -> np.ndarray | float:
         """Uniform draws in [low, high); scalar when shape is None."""
         n = 1 if shape is None else int(np.prod(shape))
-        u = (self.raw64(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        out = low + (high - low) * u
+        out = low + (high - low) * self._unit(n)
         return float(out[0]) if shape is None else out.reshape(shape)
 
     def normal(self, shape=None, mean: float = 0.0, std: float = 1.0):
         """Gaussian draws via Box-Muller; scalar when shape is None."""
         n = 1 if shape is None else int(np.prod(shape))
         m = (n + 1) // 2
-        # u1 in (0, 1] so the log never sees zero.
-        u1 = ((self.raw64(m) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        u2 = (self.raw64(m) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        # u1 in (0, 1] so the log never sees zero; the sum is exact.
+        u1 = self._unit(m) + 2.0**-53
+        u2 = self._unit(m)
         r = np.sqrt(-2.0 * np.log(u1))
         z = np.empty(2 * m)
         z[0::2] = r * np.cos(2.0 * np.pi * u2)
@@ -90,8 +93,7 @@ class Rng:
         if high <= low:
             raise ValueError("empty integer range")
         n = 1 if shape is None else int(np.prod(shape))
-        u = (self.raw64(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        out = low + np.floor(u * (high - low)).astype(np.int64)
+        out = low + np.floor(self._unit(n) * (high - low)).astype(np.int64)
         return int(out[0]) if shape is None else out.reshape(shape)
 
     def permutation(self, n: int) -> np.ndarray:
@@ -234,60 +236,43 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, 300):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # one Lentz step for each coefficient of the pair: the even one, then the odd
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 1e-12:
             return h
     raise RuntimeError("incomplete beta continued fraction did not converge")
 
 
-def betainc_reg(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b), accurate to ~1e-12."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("beta parameters must be positive")
-    if x < 0.0 or x > 1.0:
-        raise ValueError("x must lie in [0, 1]")
-    if x == 0.0 or x == 1.0:
-        return float(x)
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
 def student_t_sf2(t: float, df: int) -> float:
-    """Two-tailed tail probability P(|T| >= t) for Student's t."""
+    """Two-tailed tail probability P(|T| >= t) for Student's t.
+
+    This is the regularized incomplete beta I_x(a, b) with a = df/2,
+    b = 1/2 and x = df / (df + t^2), accurate to about 1e-12. The
+    continued fraction converges fast for x below (a + 1) / (a + b + 2);
+    above that, the symmetry I_x(a, b) = 1 - I_{1-x}(b, a) is used.
+    """
     if df < 1:
         raise ValueError("degrees of freedom must be >= 1")
     t = float(t)
-    if t == 0.0:
-        return 1.0
     x = df / (df + t * t)
-    return betainc_reg(df / 2.0, 0.5, x)
+    if x == 0.0 or x == 1.0:  # t infinite, or t * t negligible against df
+        return x
+    a, b = df / 2.0, 0.5
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log1p(-x))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _betacf(a, b, x) / a
+    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
 def paired_t_test(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:

@@ -17,12 +17,12 @@ initializer hands each worker the TrainConfig and the path of a temporary
 the parent sends a spawned worker its start-up state: the parent holds
 that pipe's read end until its write returns, so a write larger than the
 pipe buffer to a worker that died while bootstrapping (as one importing
-an unguarded script does) would block for good. A worker that dies early
-breaks the pool with BrokenProcessPool instead. At threads == 1 the folds
-run in the calling process. train and evaluate compute every step and
-chunk into the calling thread's workspace (numerics.thread_workspace), so
-a process running folds, the caller or a worker, maps its buffers once
-rather than once per step or fold.
+an unguarded script does) would block for good. A worker that dies breaks
+the pool instead, and run_loso raises that as ChildProcessError. At
+threads == 1 the folds run in the calling process. train and evaluate
+compute every step and chunk into the calling thread's workspace
+(numerics.thread_workspace), so a process running folds, the caller or a
+worker, maps its buffers once rather than once per step or fold.
 """
 
 from __future__ import annotations
@@ -221,7 +221,8 @@ def run_loso(data, config: TrainConfig, threads: int = 1) -> CvReport:
     scheduling and thread count. At threads > 1 the workers are spawned, so
     they import the caller's main module: a script that calls this must
     keep its own work under ``if __name__ == "__main__":``. A call made
-    while a spawned worker imports that module raises RuntimeError.
+    while a spawned worker imports that module raises RuntimeError, and a
+    worker that dies or fails to start raises ChildProcessError.
     """
     subjects = loso_subject_ids(data.subjects)
     jobs = [(subject, repeat) for subject in subjects for repeat in range(1, config.repeats + 1)]
@@ -230,7 +231,7 @@ def run_loso(data, config: TrainConfig, threads: int = 1) -> CvReport:
         # runs LOSO do not load them
         import multiprocessing
         import tempfile
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
         # multiprocessing marks a spawned process as inheriting until its
         # bootstrap, which imports the parent's main module, is over.
@@ -242,11 +243,14 @@ def run_loso(data, config: TrainConfig, threads: int = 1) -> CvReport:
         with tempfile.TemporaryDirectory(prefix="drowse-loso-") as tmp:
             data_path = os.path.join(tmp, "data.eegd")
             write_sampleset(data, data_path)
-            with ProcessPoolExecutor(max_workers=min(threads, len(jobs)),
-                                     mp_context=multiprocessing.get_context("spawn"),
-                                     initializer=_start_worker,
-                                     initargs=(data_path, config)) as pool:
-                results = list(pool.map(_worker_fold_job, jobs))
+            try:
+                with ProcessPoolExecutor(max_workers=min(threads, len(jobs)),
+                                         mp_context=multiprocessing.get_context("spawn"),
+                                         initializer=_start_worker,
+                                         initargs=(data_path, config)) as pool:
+                    results = list(pool.map(_worker_fold_job, jobs))
+            except BrokenProcessPool as exc:
+                raise ChildProcessError(f"a LOSO worker process died: {exc}") from exc
     else:
         results = [_fold_job(data, config, *job) for job in jobs]
 

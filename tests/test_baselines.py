@@ -30,80 +30,10 @@ def tone(freq_hz, amp=1.0, phase=0.0):
     return amp * np.sin(2 * np.pi * freq_hz * T384 + phase)
 
 
-# Brute-force oracles: explicit per-template loops, shared Chebyshev helper.
-
-def _window(x, i, mm):
-    return x[i:i + mm]
-
-
-def _cheb_row(x, i, mm, count):
-    t = _window(x, i, mm)
-    return np.array([np.max(np.abs(t - _window(x, j, mm))) for j in range(count)])
-
-
-def apen_oracle(x, m=2, r=None):
-    x = np.asarray(x, dtype=np.float64)
-    sd = float(x.std())
-    if sd == 0.0:
-        return 0.0
-    r = 0.2 * sd if r is None else r
-
-    def phi(mm):
-        count = x.size - mm + 1
-        logs = []
-        for i in range(count):
-            d = _cheb_row(x, i, mm, count)
-            logs.append(math.log(np.count_nonzero(d <= r) / count))
-        return float(np.mean(logs))
-
-    return phi(m) - phi(m + 1)
-
-
-def sampen_oracle(x, m=2, r=None):
-    x = np.asarray(x, dtype=np.float64)
-    sd = float(x.std())
-    if sd == 0.0:
-        return 0.0
-    r = 0.2 * sd if r is None else r
-    count = x.size - m
-
-    def pairs(mm):
-        total = 0
-        for i in range(count):
-            d = _cheb_row(x, i, mm, count)
-            total += np.count_nonzero(d <= r) - 1  # drop self
-        return total
-
-    b = pairs(m)
-    a = pairs(m + 1)
-    return -math.log(max(a, 0.5) / max(b, 0.5))
-
-
-def fuzzyen_oracle(x, m=2, r=None, width=2):
-    x = np.asarray(x, dtype=np.float64)
-    sd = float(x.std())
-    if sd == 0.0:
-        return 0.0
-    r = 0.2 * sd if r is None else r
-    count = x.size - m
-
-    def phi(mm):
-        total = 0.0
-        for i in range(count):
-            ti = _window(x, i, mm) - _window(x, i, mm).mean()
-            for j in range(count):
-                if i == j:
-                    continue
-                tj = _window(x, j, mm) - _window(x, j, mm).mean()
-                d = float(np.max(np.abs(ti - tj)))
-                total += math.exp(-(d ** width) / r)
-        return total / (count * (count - 1))
-
-    return math.log(phi(m)) - math.log(phi(m + 1))
-
-
-# Broadcast reference: the [N, N, m] formulation the lag-wise code replaced,
-# in the same summation order, so results must agree bit for bit.
+# Brute-force oracles: for each template length, every pair's Chebyshev
+# distance from one [N, N, m] broadcast, then a count or exp. This is the
+# formulation the shifted-block and lag-wise code in baselines replaced; it
+# sums in the same order, so the two must agree bit for bit.
 
 def _broadcast_chebyshev(t):
     return np.abs(t[:, None, :] - t[None, :, :]).max(axis=2)
@@ -115,7 +45,7 @@ def _reference_setup(x, r):
     return x, sd, (0.2 * sd if r is None else r)
 
 
-def apen_broadcast(x, m=2, r=None):
+def apen_oracle(x, m=2, r=None):
     x, sd, r = _reference_setup(x, r)
     if sd == 0.0:
         return 0.0
@@ -128,7 +58,7 @@ def apen_broadcast(x, m=2, r=None):
     return float(phi(m) - phi(m + 1))
 
 
-def sampen_broadcast(x, m=2, r=None):
+def sampen_oracle(x, m=2, r=None):
     x, sd, r = _reference_setup(x, r)
     if sd == 0.0:
         return 0.0
@@ -143,7 +73,7 @@ def sampen_broadcast(x, m=2, r=None):
     return float(-np.log(max(a, 0.5) / max(b, 0.5)))
 
 
-def fuzzyen_broadcast(x, m=2, r=None, width=2):
+def fuzzyen_oracle(x, m=2, r=None, width=2):
     x, sd, r = _reference_setup(x, r)
     if sd == 0.0:
         return 0.0
@@ -294,14 +224,14 @@ class TestEntropies:
         steps = np.round(3.0 * Rng(55).normal((384,)))
         cases = [(row, None) for row in rows] + [(steps, 1.0)]
         for x, r in cases:
-            np.testing.assert_array_equal(sample_entropy(x, m, r), sampen_broadcast(x, m, r))
+            np.testing.assert_array_equal(sample_entropy(x, m, r), sampen_oracle(x, m, r))
             np.testing.assert_array_equal(approximate_entropy(x, m, r),
-                                          apen_broadcast(x, m, r))
-            np.testing.assert_array_equal(fuzzy_entropy(x, m, r), fuzzyen_broadcast(x, m, r))
+                                          apen_oracle(x, m, r))
+            np.testing.assert_array_equal(fuzzy_entropy(x, m, r), fuzzyen_oracle(x, m, r))
         assert np.any(np.abs(steps[:, None] - steps[None, :]) == 1.0)
         if m == 2:
             for x, _ in cases:
-                reference = [sampen_broadcast(x), fuzzyen_broadcast(x), apen_broadcast(x),
+                reference = [sampen_oracle(x), fuzzyen_oracle(x), apen_oracle(x),
                              spectral_entropy(x)]
                 np.testing.assert_array_equal(four_entropies(x), reference)
 
@@ -316,11 +246,11 @@ class TestEntropies:
             for m in (1, 2, 3):
                 for r in (None, 0.15 * float(x.std())):
                     np.testing.assert_array_equal(sample_entropy(x, m, r),
-                                                  sampen_broadcast(x, m, r))
+                                                  sampen_oracle(x, m, r))
                     np.testing.assert_array_equal(approximate_entropy(x, m, r),
-                                                  apen_broadcast(x, m, r))
+                                                  apen_oracle(x, m, r))
                     np.testing.assert_array_equal(fuzzy_entropy(x, m, r),
-                                                  fuzzyen_broadcast(x, m, r))
+                                                  fuzzyen_oracle(x, m, r))
 
     def test_threads_keep_their_own_buffers(self):
         # More threads than cores, each cycling through signal lengths, so a

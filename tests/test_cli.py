@@ -255,6 +255,38 @@ class TestLoso:
             assert report == reports["1", "1"], key
 
 
+    def test_dead_worker_is_runtime_error(self, synth_file, tmp_path, capsys, monkeypatch):
+        # Workers read their data from the file run_loso writes; junk there
+        # fails every worker's start-up, which breaks the pool.
+        from drowse import training
+
+        monkeypatch.setattr(training, "write_sampleset",
+                            lambda _data, path: Path(path).write_bytes(b"junk"))
+        code = run("loso", "--data", synth_file, "--out", str(tmp_path / "rep"),
+                   "--epochs", "1", "--repeats", "1", "--threads", "2")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: a LOSO worker process died")
+
+
+@pytest.mark.parametrize("command", ["train", "loso"])
+def test_unusable_output_refused_before_training(synth_file, tmp_path, capsys, monkeypatch,
+                                                  command):
+    from drowse import training
+
+    def no_training(*_args, **_kwargs):
+        raise AssertionError("trained for an output that cannot be written")
+
+    monkeypatch.setattr(training, "train", no_training)
+    monkeypatch.setattr(training, "run_loso", no_training)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    output = {"train": ["--model", str(tmp_path / "missing" / "m.eglm")],
+              "loso": ["--out", str(taken)]}[command]
+    code = run(command, "--data", synth_file, *output, "--epochs", "1")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestBaseline:
     def test_csv_footer_consistent(self, synth_file, tmp_path, capsys):
         out = tmp_path / "base.csv"

@@ -7,6 +7,7 @@ UnicodeDecodeError, IndexError, struct.error or plain ValueError.
 """
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,23 @@ def test_eegd_nan_value_is_format_error(valid):
     path.write_bytes(bytes(corrupt))
     with pytest.raises(FormatError, match="non-finite"):
         dataio.read_sampleset(path)
+
+
+@pytest.mark.parametrize("kind, offset", [
+    ("eegs", 20),  # the first signal value
+    ("eglm", 33),  # the first value of conv.w
+])
+def test_signalling_nan_is_format_error_and_nothing_else(valid, kind, offset):
+    # Widening a signalling NaN to float64 raises numpy's "invalid" flag;
+    # under an error filter that warning must not escape in place of FormatError.
+    raw, path = valid[kind]
+    corrupt = bytearray(raw)
+    struct.pack_into("<I", corrupt, offset, 0x7F800001)
+    path.write_bytes(bytes(corrupt))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError, match="non-finite"):
+            READERS[kind](path)
 
 
 def test_eegs_unsorted_events_are_format_error(valid):
