@@ -1,10 +1,10 @@
 """Conventional features and classical classifiers for comparison runs.
 
 Three feature families (relative band powers, band-power ratios, four
-entropies), all computed per 384-point sample, plus five classifiers
-implemented directly (logistic regression, LDA, QDA, Gaussian naive Bayes,
-k-nearest-neighbors).  Everything in this module is deterministic: no RNG,
-so fit+predict is a pure function of the data.
+entropies), computed for all rows of [..., 384] samples at once, plus five
+classifiers implemented directly (logistic regression, LDA, QDA, Gaussian
+naive Bayes, k-nearest-neighbors).  Everything in this module is
+deterministic: no RNG, so fit+predict is a pure function of the data.
 """
 
 from __future__ import annotations
@@ -35,76 +35,66 @@ FUZZY_WIDTH = 2  # the fuzzy membership exponent of Chen et al. 2007
 
 # -- spectral features ---------------------------------------------------------
 
+FREQS = np.arange(SEGMENT // 2 + 1) * (SAMPLE_RATE_HZ / SEGMENT)  # the PSD's 1 Hz grid
+# Trapezoid rule on the 1 Hz grid: weight 1 inside a band, 1/2 at its edges.
+BAND_WEIGHTS = np.array([[0.5 if f in (lo, hi) else float(lo < f < hi) for _, lo, hi in BANDS]
+                         for f in FREQS])  # [65, 4]
+ENTROPY_BINS = slice(1, 31)  # 1-30 Hz; a slice keeps each row's bins contiguous
+
+
+class _NoPower(ValueError):
+    def __init__(self, row: int):  # the sample's index among the call's rows
+        super().__init__(f"sample {row} has no power in the 1-30 Hz bands")
+        self.row = row
+
+
+def _row_shares(values: np.ndarray) -> np.ndarray:
+    total = values.sum(axis=-1, keepdims=True)
+    silent = np.flatnonzero(total <= 0.0)  # rows with no 1-30 Hz power
+    if silent.size:
+        raise _NoPower(int(silent[0]))
+    return values / total
+
+
 def welch_psd(x: np.ndarray) -> tuple:
-    """Welch power spectral density of one sample.
+    """Welch power spectral density of each sample in [..., 384].
 
     Five 128-point segments with 50% overlap, Hamming window, per-segment
-    mean removal; one-sided density in units of power per Hz on a 1 Hz grid.
+    mean removal, all in one dft_power call; one-sided power per Hz on FREQS.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (SAMPLE_POINTS,):
-        raise ValueError(f"expected a {SAMPLE_POINTS}-point sample, got {x.shape}")
+    if x.shape[-1:] != (SAMPLE_POINTS,):
+        raise ValueError(f"expected {SAMPLE_POINTS}-point samples, got {x.shape}")
     window = np.hamming(SEGMENT)
     scale = SEGMENT**2 / (SAMPLE_RATE_HZ * np.sum(window**2))
-    psd = np.zeros(SEGMENT // 2 + 1)
-    starts = range(0, SAMPLE_POINTS - SEGMENT + 1, SEGMENT // 2)
-    freqs = None
-    for start in starts:
-        seg = x[start:start + SEGMENT]
-        seg = (seg - seg.mean()) * window
-        freqs, power = dft_power(seg, SAMPLE_RATE_HZ)
-        psd += power * scale
-    psd /= len(list(starts))
-    return freqs, psd
-
-
-def band_power(freqs: np.ndarray, psd: np.ndarray, lo: float, hi: float) -> float:
-    """Trapezoidal integral of the PSD over [lo, hi] Hz."""
-    mask = (freqs >= lo) & (freqs <= hi)
-    return float(np.trapezoid(psd[mask], freqs[mask]))
-
-
-def band_powers(x: np.ndarray) -> np.ndarray:
-    freqs, psd = welch_psd(x)
-    return np.array([band_power(freqs, psd, lo, hi) for _, lo, hi in BANDS])
+    segments = sliding_window_view(x, SEGMENT, axis=-1)[..., ::SEGMENT // 2, :]
+    segments = (segments - segments.mean(axis=-1, keepdims=True)) * window
+    freqs, power = dft_power(segments, SAMPLE_RATE_HZ)
+    return freqs, power.mean(axis=-2) * scale
 
 
 def relative_powers(x: np.ndarray) -> np.ndarray:
-    """Band powers normalized by the four-band total; sums to 1."""
-    powers = band_powers(x)
-    total = powers.sum()
-    if total <= 0.0:
-        raise ValueError("signal has no power in the 1-30 Hz bands")
-    return powers / total
+    """Band powers of each sample normalized by its four-band total; rows sum to 1."""
+    return _row_shares(np.einsum("...f,fb->...b", welch_psd(x)[1], BAND_WEIGHTS))
 
 
 def ratios_from_bands(powers: np.ndarray) -> np.ndarray:
-    """(theta+alpha)/beta, alpha/beta, (theta+alpha)/(alpha+beta), theta/beta."""
-    _, theta, alpha, beta = powers
-    floor = 1e-12
-    return np.array([
-        (theta + alpha) / max(beta, floor),
-        alpha / max(beta, floor),
-        (theta + alpha) / max(alpha + beta, floor),
-        theta / max(beta, floor),
-    ])
+    """(theta+alpha)/beta, alpha/beta, (theta+alpha)/(alpha+beta), theta/beta per row."""
+    _, theta, alpha, beta = np.moveaxis(powers, -1, 0)
+    numerators = np.stack([theta + alpha, alpha, theta + alpha, theta], axis=-1)
+    denominators = np.stack([beta, beta, alpha + beta, beta], axis=-1)
+    return numerators / np.maximum(denominators, 1e-12)
 
 
 def power_ratios(x: np.ndarray) -> np.ndarray:
-    return ratios_from_bands(band_powers(x))
+    return ratios_from_bands(np.einsum("...f,fb->...b", welch_psd(x)[1], BAND_WEIGHTS))
 
 
-def spectral_entropy(x: np.ndarray) -> float:
-    """Normalized Shannon entropy of the 1-30 Hz PSD distribution, in [0, 1]."""
-    freqs, psd = welch_psd(x)
-    mask = (freqs >= 1.0) & (freqs <= 30.0)
-    band = psd[mask]
-    total = band.sum()
-    if total <= 0.0:
-        raise ValueError("zero spectral power in 1-30 Hz")
-    p = band / total
-    p = p[p > 0]
-    return float(-np.sum(p * np.log(p)) / np.log(band.size))
+def spectral_entropy(x: np.ndarray) -> np.ndarray:
+    """Normalized Shannon entropy of each sample's 1-30 Hz PSD distribution, in [0, 1]."""
+    p = _row_shares(welch_psd(x)[1][..., ENTROPY_BINS])
+    log_p = np.log(p, out=np.zeros_like(p), where=p > 0)
+    return -np.einsum("...f,...f->...", p, log_p) / np.log(p.shape[-1])
 
 
 # -- entropies -----------------------------------------------------------------
@@ -246,9 +236,15 @@ def fuzzy_entropy(x: np.ndarray, m: int = 2, r: float | None = None) -> float:
 
 
 def four_entropies(x: np.ndarray) -> np.ndarray:
-    """(sample, fuzzy, approximate, spectral) entropy of one sample."""
-    sampen, apen = _sample_and_approximate_entropy(x, 2, None)
-    return np.array([sampen, fuzzy_entropy(x), apen, spectral_entropy(x)])
+    """(sample, fuzzy, approximate, spectral) entropy of each sample in [..., 384].
+    The spectral column comes first, so a silent sample is refused early."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty(x.shape[:-1] + (4,))
+    out[..., 3] = spectral_entropy(x)
+    for row, values in zip(x.reshape(-1, SAMPLE_POINTS), out.reshape(-1, 4)):
+        values[0], values[2] = _sample_and_approximate_entropy(row, 2, None)
+        values[1] = fuzzy_entropy(row)
+    return out
 
 
 # -- feature dispatch ----------------------------------------------------------
@@ -258,15 +254,23 @@ _FEATURE_FUNCS = {
     "power_ratio": power_ratios,
     "four_entropies": four_entropies,
 }
+FEATURE_CHUNK = 256  # rows per feature call; bounds the temporaries, not the bits
 
 
 def feature_matrix(data: np.ndarray, kind: str) -> np.ndarray:
-    """[n, 4] feature matrix for [n, 384] sample data."""
+    """[n, 4] feature matrix for [n, 384] sample data, FEATURE_CHUNK rows
+    per call; a row's bits do not depend on the rows that share its call."""
     try:
         func = _FEATURE_FUNCS[kind]
     except KeyError:
         raise ValueError(f"unknown feature kind: {kind!r}") from None
-    return np.stack([func(row.astype(np.float64)) for row in data])
+    chunks = []
+    for start in range(0, len(data), FEATURE_CHUNK):
+        try:
+            chunks.append(func(data[start:start + FEATURE_CHUNK]))
+        except _NoPower as exc:
+            raise _NoPower(start + exc.row) from None
+    return np.concatenate(chunks)
 
 
 # -- classifiers ---------------------------------------------------------------

@@ -428,6 +428,7 @@ def model_forward(
     lstm_in = _avgpool(elu_out, POOL, ws.take("pool", (shape[0], shape[1] // POOL, shape[2]),
                                               dtype))  # [B, T, K]
     hidden, lstm_cache = lstm_forward(lstm_in, params)
+    assert_finite(hidden[-1], f"the LSTM output, from a {dtype.name} overflow in the network")
     probs = softmax_rows(hidden[-1])
     trace = ForwardTrace(
         conv_windows=windows,

@@ -181,31 +181,25 @@ def _dft_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dft_power(signal: np.ndarray, rate: float) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided DFT power spectrum of a real signal.
+    """One-sided DFT power spectrum of real signals, one per row of [..., n].
 
-    Direct O(n^2) transform against cached cos/sin matrices; welch_psd
-    runs it on every segment, and it is the only spectral transform in the
-    package. Bin powers satisfy Parseval exactly:
-    ``sum(power) == mean(signal**2)`` up to rounding.
+    Direct O(n^2) transform, one einsum dot product per bin against cached
+    cos/sin matrices, so a row's bits do not depend on its batch (a BLAS
+    product blocks by row count). It is the package's only spectral
+    transform. Bin powers satisfy Parseval exactly:
+    ``sum(power, -1) == mean(signal**2, -1)`` up to rounding.
 
-    Returns (frequencies in Hz, power per bin).
+    Returns (frequencies in Hz, power per bin as [..., n // 2 + 1]).
     """
     x = np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("dft_power needs a 1-D signal of length >= 2")
+    if x.ndim == 0 or x.shape[-1] < 2:
+        raise ValueError("dft_power needs signals of length >= 2 along the last axis")
     assert_finite(x, "dft_power input")
-    n = x.size
-    cos_m, sin_m = _dft_matrices(n)
-    re = cos_m @ x
-    im = sin_m @ x
+    n = x.shape[-1]
+    re, im = (np.einsum("...t,kt->...k", x, m) for m in _dft_matrices(n))
     power = (re * re + im * im) / (n * n)
-    scale = np.full(n // 2 + 1, 2.0)
-    scale[0] = 1.0
-    if n % 2 == 0:
-        scale[-1] = 1.0
-    power *= scale
-    freqs = np.arange(n // 2 + 1) * (rate / n)
-    return freqs, power
+    power[..., 1:(n + 1) // 2] *= 2.0  # every bin but DC and (n even) Nyquist
+    return np.arange(n // 2 + 1) * (rate / n), power
 
 
 def normalize_mean_std(v: np.ndarray) -> np.ndarray:

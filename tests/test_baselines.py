@@ -6,6 +6,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from drowse.baselines import (
+    FEATURE_CHUNK,
     approximate_entropy,
     feature_matrix,
     fit_classifier,
@@ -303,9 +304,29 @@ class TestFeatureDispatch:
     def test_permutation_equivariance(self):
         data = generate_synthetic(2, 10, 6).data
         perm = Rng(50).permutation(data.shape[0])
-        a = feature_matrix(data, "relative_power")[perm]
-        b = feature_matrix(data[perm], "relative_power")
-        np.testing.assert_array_equal(a, b)
+        for kind in ("relative_power", "power_ratio", "four_entropies"):
+            a = feature_matrix(data, kind)[perm]
+            b = feature_matrix(data[perm], kind)
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", ["relative_power", "power_ratio", "four_entropies"])
+    def test_rows_keep_their_bits_in_any_call(self, kind):
+        func = {"relative_power": relative_powers, "power_ratio": power_ratios,
+                "four_entropies": four_entropies}[kind]
+        # More rows than FEATURE_CHUNK, so the whole-file call spans two chunks.
+        data = generate_synthetic(2, 80, 59).data
+        assert data.shape[0] > FEATURE_CHUNK
+        whole = feature_matrix(data, kind)
+        np.testing.assert_array_equal(func(data[0]), whole[0])
+        np.testing.assert_array_equal(func(data[257:258]), whole[257:258])
+        for start, stop in ((255, 257), (100, 107), (10, 310)):
+            np.testing.assert_array_equal(func(data[start:stop]), whole[start:stop])
+
+    def test_silent_sample_named_across_chunks(self):
+        data = generate_synthetic(2, 80, 60).data
+        data[FEATURE_CHUNK + 14] = 0.0
+        with pytest.raises(ValueError, match=f"sample {FEATURE_CHUNK + 14} .*power"):
+            feature_matrix(data, "relative_power")
 
 
 def clouds(n_per_class=40, distance=3.0, seed=51):

@@ -203,6 +203,20 @@ class TestTrainExplain:
         assert code == 2
         capsys.readouterr()
 
+    def test_float32_overflow_named(self, tmp_path, capsys):
+        # Finite float32 samples (peak about 2.8e38) whose conv and batch-norm
+        # sums overflow float32.
+        data = dataio.generate_synthetic(2, 10, 1)
+        path = tmp_path / "huge.eegd"
+        dataio.write_sampleset(dataio.SampleSet(data.data * np.float32(1e37), data.labels,
+                                                data.subjects), path)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run("train", "--data", str(path), "--model", str(tmp_path / "m.eglm"),
+                       "--epochs", "1", "--batch", "8")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "float32 overflow in the network" in err
+
 
 class TestLoso:
     def test_reports_and_thread_env(self, synth_file, tmp_path, capsys, monkeypatch):
@@ -327,6 +341,22 @@ class TestBaseline:
         assert code == 2
         assert "leave-one-subject-out needs at least 2 subjects" in capsys.readouterr().err
         assert not (tmp_path / "base.csv").exists()
+
+    @pytest.mark.parametrize("features", ["relpower", "entropies"])
+    def test_silent_sample_named(self, synth_file, tmp_path, capsys, monkeypatch, features):
+        def no_entropy(*_):
+            raise AssertionError("an entropy was computed before the silent sample was refused")
+
+        monkeypatch.setattr(baselines, "fuzzy_entropy", no_entropy)
+        data = dataio.read_sampleset(synth_file)
+        data.data[41] = 0.0
+        path = tmp_path / "silent.eegd"
+        dataio.write_sampleset(data, path)
+        code = run("baseline", "--data", str(path), "--features", features,
+                   "--clf", "lda", "--out", str(tmp_path / "base.csv"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: sample 41 " in err and "power" in err
 
 
 _IMPORTED_MODULES = """

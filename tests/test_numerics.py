@@ -104,6 +104,15 @@ class TestDftPower:
             ms = np.mean(x * x)
             assert abs(power.sum() - ms) <= 1e-9 * ms
 
+    def test_rows_match_one_dimensional_calls(self):
+        x = Rng(12).normal((3, 5, 128))
+        _, power = dft_power(x, 128.0)
+        assert power.shape == (3, 5, 65)
+        for idx in np.ndindex(3, 5):
+            np.testing.assert_array_equal(power[idx], dft_power(x[idx], 128.0)[1])
+            ms = np.mean(x[idx] * x[idx])
+            assert abs(power[idx].sum() - ms) <= 1e-9 * ms
+
     def test_too_short(self):
         with pytest.raises(ValueError):
             dft_power(np.array([1.0]), 10.0)
