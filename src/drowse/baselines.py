@@ -48,12 +48,13 @@ class _NoPower(ValueError):
         self.row = row
 
 
-def _row_shares(values: np.ndarray) -> np.ndarray:
+def _row_totals(values: np.ndarray) -> np.ndarray:
+    """Each row's sum over the last axis; refuses a row with no 1-30 Hz power."""
     total = values.sum(axis=-1, keepdims=True)
-    silent = np.flatnonzero(total <= 0.0)  # rows with no 1-30 Hz power
+    silent = np.flatnonzero(total <= 0.0)
     if silent.size:
         raise _NoPower(int(silent[0]))
-    return values / total
+    return total
 
 
 def welch_psd(x: np.ndarray) -> tuple:
@@ -73,9 +74,16 @@ def welch_psd(x: np.ndarray) -> tuple:
     return freqs, power.mean(axis=-2) * scale
 
 
+def _band_powers(x: np.ndarray) -> tuple:
+    """Trapezoid power of each sample in the four BANDS, and its four-band total."""
+    powers = np.einsum("...f,fb->...b", welch_psd(x)[1], BAND_WEIGHTS)
+    return powers, _row_totals(powers)
+
+
 def relative_powers(x: np.ndarray) -> np.ndarray:
     """Band powers of each sample normalized by its four-band total; rows sum to 1."""
-    return _row_shares(np.einsum("...f,fb->...b", welch_psd(x)[1], BAND_WEIGHTS))
+    powers, total = _band_powers(x)
+    return powers / total
 
 
 def ratios_from_bands(powers: np.ndarray) -> np.ndarray:
@@ -87,12 +95,13 @@ def ratios_from_bands(powers: np.ndarray) -> np.ndarray:
 
 
 def power_ratios(x: np.ndarray) -> np.ndarray:
-    return ratios_from_bands(np.einsum("...f,fb->...b", welch_psd(x)[1], BAND_WEIGHTS))
+    return ratios_from_bands(_band_powers(x)[0])
 
 
 def spectral_entropy(x: np.ndarray) -> np.ndarray:
     """Normalized Shannon entropy of each sample's 1-30 Hz PSD distribution, in [0, 1]."""
-    p = _row_shares(welch_psd(x)[1][..., ENTROPY_BINS])
+    psd = welch_psd(x)[1][..., ENTROPY_BINS]
+    p = psd / _row_totals(psd)
     log_p = np.log(p, out=np.zeros_like(p), where=p > 0)
     return -np.einsum("...f,...f->...", p, log_p) / np.log(p.shape[-1])
 

@@ -86,14 +86,14 @@ def cmd_prepare(args) -> int:
         subject_id, session_id = _ids_from_filename(path)
         try:
             record = dataio.read_session(path)
+            if record.events.shape[0] < dataio.MIN_EVENTS:
+                print(f"warning: {path}: fewer than {dataio.MIN_EVENTS} events, skipped",
+                      file=sys.stderr)
+                continue
+            labels = dataio.label_session(record)
+            kept.append(dataio.session_samples(record, labels, subject_id, session_id))
         except (OSError, ValueError) as exc:
             raise ValueError(f"{path}: {exc}")
-        if record.events.shape[0] < dataio.MIN_EVENTS:
-            print(f"warning: {path}: fewer than {dataio.MIN_EVENTS} events, skipped",
-                  file=sys.stderr)
-            continue
-        labels = dataio.label_session(record)
-        kept.append(dataio.session_samples(record, labels, subject_id, session_id))
     data = dataio.balance(kept)
     dataio.write_sampleset(data, args.out)
     _print_counts(data)

@@ -5,6 +5,8 @@ turned into labeled 3-second samples at 128 Hz: reaction-time labeling,
 anti-aliased 500 -> 128 Hz resampling, per-subject session selection and
 class balancing, binary file formats for both stages, and a synthetic
 generator with known spectral class signatures for desk-scale testing.
+An event's verdict is an int code, ALERT (0), DROWSY (1) or EXCLUDED (-1),
+held in one array per session; a kept event's code is its sample's label.
 SampleSet is the one sample container from extraction to file: windows
 are resampled straight into its rows, and EegSample is only the one-row
 view that indexing a SampleSet returns.
@@ -25,9 +27,9 @@ SAMPLE_RATE_HZ = 128
 SAMPLE_POINTS = 384
 SESSION_RATE_HZ = 500
 
-ALERT = "alert"
-DROWSY = "drowsy"
-EXCLUDED = "excluded"
+ALERT = 0
+DROWSY = 1
+EXCLUDED = -1
 
 ALERT_FACTOR = 1.5
 DROWSY_FACTOR = 2.5
@@ -168,25 +170,33 @@ class SessionRecord:
 
 
 @dataclass
-class RtLabel:
-    """Reaction-time verdict for one event."""
+class SessionLabels:
+    """Reaction-time verdicts of a session's events, one array entry per event.
 
-    local_rt_s: float
-    global_rt_s: float
+    verdict holds ALERT, DROWSY or EXCLUDED; the code of a kept event is
+    its sample's label.
+    """
+
+    local_rt_s: np.ndarray
+    global_rt_s: np.ndarray
+    verdict: np.ndarray
     alert_rt_s: float
-    verdict: str
+
+    def __iter__(self):
+        # perfbench's RT-rule test iterates the events and reads each verdict
+        # by name; this view serves it until that test reads the codes.
+        names = np.array(["excluded", "alert", "drowsy"])[self.verdict + 1]
+        return iter(np.rec.fromarrays([names], names="verdict"))
 
 
-def _verdict(local_rt: float, global_rt: float, alert_rt: float) -> str:
-    if local_rt < ALERT_FACTOR * alert_rt and global_rt < ALERT_FACTOR * alert_rt:
-        return ALERT
-    if local_rt > DROWSY_FACTOR * alert_rt and global_rt > DROWSY_FACTOR * alert_rt:
-        return DROWSY
-    return EXCLUDED
+def _verdicts(local_rt: np.ndarray, global_rt: np.ndarray, alert_rt: float) -> np.ndarray:
+    alert = (local_rt < ALERT_FACTOR * alert_rt) & (global_rt < ALERT_FACTOR * alert_rt)
+    drowsy = (local_rt > DROWSY_FACTOR * alert_rt) & (global_rt > DROWSY_FACTOR * alert_rt)
+    return np.select([alert, drowsy], [ALERT, DROWSY], EXCLUDED)
 
 
-def label_session(session: SessionRecord) -> list:
-    """Label every event of a session as alert/drowsy/excluded.
+def label_session(session: SessionRecord) -> SessionLabels:
+    """Label every event of a session ALERT, DROWSY or EXCLUDED.
 
     local RT is response onset minus event onset; the session baseline
     (alert RT) is the 5th percentile of local RTs; global RT averages the
@@ -197,20 +207,14 @@ def label_session(session: SessionRecord) -> list:
     if n < MIN_EVENTS:
         raise ValueError(f"need at least {MIN_EVENTS} events to label a session, got {n}")
     onsets = session.events[:, 0]
-    local_rts = session.events[:, 1] - session.events[:, 0]
+    local_rts = session.events[:, 1] - onsets
     alert_rt = float(np.percentile(local_rts, 5.0))
-
-    labels = []
-    for i in range(n):
-        lo = int(np.searchsorted(onsets, onsets[i] - GLOBAL_WINDOW_S, side="left"))
-        hi = int(np.searchsorted(onsets, onsets[i], side="left"))
-        if hi > lo:
-            global_rt = float(np.mean(local_rts[lo:hi]))
-        else:
-            global_rt = float(local_rts[i])
-        verdict = _verdict(float(local_rts[i]), global_rt, alert_rt)
-        labels.append(RtLabel(float(local_rts[i]), global_rt, alert_rt, verdict))
-    return labels
+    starts = np.searchsorted(onsets, onsets - GLOBAL_WINDOW_S, side="left")
+    stops = np.searchsorted(onsets, onsets, side="left")
+    global_rts = np.array([local_rts[lo:hi].mean() if hi > lo else local
+                           for lo, hi, local in zip(starts, stops, local_rts)])
+    return SessionLabels(local_rts, global_rts, _verdicts(local_rts, global_rts, alert_rt),
+                         alert_rt)
 
 
 # -- resampling ---------------------------------------------------------------
@@ -280,44 +284,37 @@ class SessionSamples:
             raise ValueError("one local RT per sample required")
 
 
-def session_samples(session: SessionRecord, labels, subject_id: int,
+def session_samples(session: SessionRecord, labels: SessionLabels, subject_id: int,
                     session_id: int) -> SessionSamples:
     """Cut the 3 s window preceding each non-excluded event, resample it
-    into one row of the session's SampleSet, and keep the event's local RT
-    for balancing.
+    into one row of the session's SampleSet labeled with the event's
+    verdict code, and keep the event's local RT for balancing.
 
     Events starting less than 3 s into the recording are skipped.
     """
     if session.rate != SESSION_RATE_HZ:
         raise ValueError(f"expected a {SESSION_RATE_HZ} Hz session, got {session.rate}")
-    if len(labels) != session.events.shape[0]:
+    if labels.verdict.shape != (session.events.shape[0],):
         raise ValueError("one label per event required")
     window = 3 * SESSION_RATE_HZ
-    ends = [int(round(event[0] * session.rate)) for event in session.events]
-    kept = [(lab, end) for lab, end in zip(labels, ends)
-            if lab.verdict != EXCLUDED and end >= window]
-    data = np.empty((len(kept), SAMPLE_POINTS), dtype=np.float32)
-    for row, (_, end) in zip(data, kept):
+    ends = np.round(session.events[:, 0] * session.rate).astype(np.int64)
+    kept = (labels.verdict != EXCLUDED) & (ends >= window)
+    data = np.empty((np.count_nonzero(kept), SAMPLE_POINTS), dtype=np.float32)
+    for row, end in zip(data, ends[kept]):
         row[:] = resample_500_to_128(session.signal[end - window : end])
-    samples = SampleSet(data, [lab.verdict != ALERT for lab, _ in kept],
-                        np.full(len(kept), subject_id))
-    return SessionSamples(subject_id, session_id, samples,
-                          [lab.local_rt_s for lab, _ in kept])
+    samples = SampleSet(data, labels.verdict[kept], np.full(len(data), subject_id))
+    return SessionSamples(subject_id, session_id, samples, labels.local_rt_s[kept])
 
 
 def _trim_majority(sess: SessionSamples) -> SampleSet:
-    """Equalize class counts: drop longest-RT alert / shortest-RT drowsy samples."""
+    """Equalize class counts: keep the shortest-RT alert / longest-RT drowsy samples."""
     labels = sess.samples.labels
-    n_alert, n_drowsy = sess.samples.class_counts(sess.subject_id)
-    keep = np.ones(labels.size, dtype=bool)
-    if n_alert > n_drowsy:
-        pos = np.flatnonzero(labels == 0)
-        order = np.argsort(sess.local_rts[pos], kind="stable")
-        keep[pos[order[n_drowsy:]]] = False
-    elif n_drowsy > n_alert:
-        pos = np.flatnonzero(labels == 1)
-        order = np.argsort(-sess.local_rts[pos], kind="stable")
-        keep[pos[order[n_alert:]]] = False
+    n_keep = min(sess.samples.class_counts(sess.subject_id))
+    key = np.where(labels == DROWSY, -sess.local_rts, sess.local_rts)
+    keep = np.zeros(labels.size, dtype=bool)
+    for label in (ALERT, DROWSY):
+        pos = np.flatnonzero(labels == label)
+        keep[pos[np.argsort(key[pos], kind="stable")[:n_keep]]] = True
     return sess.samples.subset(keep)
 
 

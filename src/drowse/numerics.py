@@ -84,18 +84,6 @@ class Rng:
         out = mean + std * z[:n]
         return float(out[0]) if shape is None else out.reshape(shape)
 
-    def integers(self, low: int, high: int, shape=None):
-        """Integer draws in [low, high); scalar when shape is None.
-
-        Uses the floor-of-uniform construction; the O(range/2^53) bias is
-        irrelevant at the ranges used here.
-        """
-        if high <= low:
-            raise ValueError("empty integer range")
-        n = 1 if shape is None else int(np.prod(shape))
-        out = low + np.floor(self._unit(n) * (high - low)).astype(np.int64)
-        return int(out[0]) if shape is None else out.reshape(shape)
-
     def permutation(self, n: int) -> np.ndarray:
         """A uniform permutation of range(n) (argsort of random keys)."""
         return np.argsort(self.raw64(n), kind="stable")

@@ -90,7 +90,7 @@ def test_criterion_3_entropy_oracles():
     rng = Rng(33)
     worst = 0.0
     for i in range(50):
-        n = int(rng.split("len", i).integers(20, 201))
+        n = 20 + int(rng.split("len", i).uniform(high=181))
         x = rng.split("sig", i).normal((n,))
         worst = max(worst,
                     abs(baselines.approximate_entropy(x) - apen_oracle(x)),

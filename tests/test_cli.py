@@ -17,14 +17,14 @@ def run(*argv):
     return cli.main(list(argv))
 
 
-def write_rt_session(path, n_fast=60, n_slow=60, fast=0.5, slow=2.0):
+def write_rt_session(path, n_fast=60, n_slow=60, fast=0.5, slow=2.0, rate=500):
     """Session whose RT labeling yields n_fast alert events, a 9-event
     excluded transition, and the remaining slow events drowsy."""
     onsets = 5.0 + 10.0 * np.arange(n_fast + n_slow)
     rts = np.array([fast] * n_fast + [slow] * n_slow)
     events = np.column_stack([onsets, onsets + rts, onsets + rts + 0.1])
-    n_points = int((onsets[-1] + slow + 5.0) * 500)
-    session = dataio.SessionRecord(500, np.zeros(n_points), events)
+    n_points = int((onsets[-1] + slow + 5.0) * rate)
+    session = dataio.SessionRecord(rate, np.zeros(n_points), events)
     dataio.write_session(session, path)
 
 
@@ -168,7 +168,18 @@ class TestPrepare:
         code = run("prepare", str(tmp_path / "s70000_1.eegs"),
                    "--out", str(tmp_path / "out.eegd"))
         assert code == 2
-        assert "subject" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 's70000_1.eegs'}: " in err and "subject" in err
+        assert not (tmp_path / "out.eegd").exists()
+
+    def test_wrong_rate_names_the_file(self, tmp_path, capsys):
+        write_rt_session(tmp_path / "s01_1.eegs")
+        write_rt_session(tmp_path / "s02_1.eegs", rate=250)
+        code = run("prepare", str(tmp_path / "s01_1.eegs"), str(tmp_path / "s02_1.eegs"),
+                   "--out", str(tmp_path / "out.eegd"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 's02_1.eegs'}: expected a 500 Hz session, got 250" in err
         assert not (tmp_path / "out.eegd").exists()
 
     def test_undigited_filename_is_usage_error(self, tmp_path, capsys):
@@ -342,7 +353,7 @@ class TestBaseline:
         assert "leave-one-subject-out needs at least 2 subjects" in capsys.readouterr().err
         assert not (tmp_path / "base.csv").exists()
 
-    @pytest.mark.parametrize("features", ["relpower", "entropies"])
+    @pytest.mark.parametrize("features", ["relpower", "ratios", "entropies"])
     def test_silent_sample_named(self, synth_file, tmp_path, capsys, monkeypatch, features):
         def no_entropy(*_):
             raise AssertionError("an entropy was computed before the silent sample was refused")

@@ -18,7 +18,7 @@ from drowse.dataio import (
     session_samples,
     write_sampleset,
     write_session,
-    _verdict,
+    _verdicts,
 )
 from drowse.numerics import Rng, dft_power
 
@@ -31,24 +31,68 @@ def make_session(onsets, rts, rate=500):
     return SessionRecord(rate, np.zeros(n_points), events)
 
 
+def verdict(local_rt, global_rt, alert_rt):
+    return int(_verdicts(np.array([local_rt]), np.array([global_rt]), alert_rt)[0])
+
+
 class TestVerdictRule:
     def test_examples(self):
-        assert _verdict(0.6, 0.7, 0.5) == ALERT
-        assert _verdict(1.3, 1.4, 0.5) == DROWSY
-        assert _verdict(0.6, 2.0, 0.5) == EXCLUDED
+        assert verdict(0.6, 0.7, 0.5) == ALERT
+        assert verdict(1.3, 1.4, 0.5) == DROWSY
+        assert verdict(0.6, 2.0, 0.5) == EXCLUDED
 
     def test_thresholds_are_strict(self):
-        assert _verdict(0.75, 0.5, 0.5) == EXCLUDED
-        assert _verdict(1.25, 1.25, 0.5) == EXCLUDED
-        assert _verdict(0.7499, 0.7499, 0.5) == ALERT
-        assert _verdict(1.2501, 1.2501, 0.5) == DROWSY
+        assert verdict(0.75, 0.5, 0.5) == EXCLUDED
+        assert verdict(1.25, 1.25, 0.5) == EXCLUDED
+        assert verdict(0.7499, 0.7499, 0.5) == ALERT
+        assert verdict(1.2501, 1.2501, 0.5) == DROWSY
 
     def test_partition(self):
         rng = Rng(77)
         for _ in range(200):
             local, glob = rng.uniform((2,), 0.05, 3.0)
-            v = _verdict(float(local), float(glob), 0.5)
-            assert v in (ALERT, DROWSY, EXCLUDED)
+            assert verdict(float(local), float(glob), 0.5) in (ALERT, DROWSY, EXCLUDED)
+
+
+def reference_labels(session):
+    """Brute force, one event at a time: the window is every earlier onset
+    within 90 s, and the verdict is the rule written out per event."""
+    onsets = session.events[:, 0]
+    local_rts = session.events[:, 1] - session.events[:, 0]
+    alert_rt = float(np.percentile(local_rts, 5.0))
+    global_rts, verdicts = [], []
+    for i, local in enumerate(local_rts):
+        window = (onsets >= onsets[i] - 90.0) & (onsets < onsets[i])
+        glob = float(np.mean(local_rts[window])) if window.any() else float(local)
+        global_rts.append(glob)
+        if local < 1.5 * alert_rt and glob < 1.5 * alert_rt:
+            verdicts.append(ALERT)
+        elif local > 2.5 * alert_rt and glob > 2.5 * alert_rt:
+            verdicts.append(DROWSY)
+        else:
+            verdicts.append(EXCLUDED)
+    return local_rts, np.array(global_rts), np.array(verdicts), alert_rt
+
+
+def random_session(seed):
+    """Onset gaps with some longer than 90 s and some zero; a tenth of the
+    RTs at the minimum r0, so the alert RT is exactly r0, and some RTs
+    exactly at 1.5 r0 and 2.5 r0. Onsets and these RTs are on a 1/512 s
+    grid, so onset + RT - onset gives them back exactly; the other RTs
+    take every bit, so window means round."""
+    rng = Rng(seed)
+    n = 20 + int(rng.uniform(high=300))
+    gaps = np.round(64 * rng.uniform((n,), 0.0, 30.0)) / 64
+    gaps[rng.uniform((n,)) < 0.05] += 120.0
+    gaps[rng.uniform((n,)) < 0.05] = 0.0
+    r0 = np.round(rng.uniform(low=77, high=154)) / 256
+    rts = r0 * rng.uniform((n,), 1.01, 4.0)
+    picks = rng.permutation(n)
+    k = n // 10 + 1
+    rts[picks[:k]] = r0
+    rts[picks[k : k + 3]] = 1.5 * r0
+    rts[picks[k + 3 : k + 6]] = 2.5 * r0
+    return make_session(5.0 + np.cumsum(gaps), rts), r0
 
 
 class TestLabelSession:
@@ -61,27 +105,42 @@ class TestLabelSession:
     def test_baseline_is_fifth_percentile(self):
         labels = label_session(self.session())
         # order statistics of [0.5 x10, 2.0 x10] at linear-interpolated 5%
-        assert labels[0].alert_rt_s == pytest.approx(0.5)
+        assert labels.alert_rt_s == pytest.approx(0.5)
         rts = np.arange(1.0, 21.0)
         labels = label_session(make_session(5.0 + 10.0 * np.arange(20), rts))
-        assert labels[0].alert_rt_s == pytest.approx(1.0 + 0.95 * (2.0 - 1.0))
+        assert labels.alert_rt_s == pytest.approx(1.0 + 0.95 * (2.0 - 1.0))
 
     def test_verdicts(self):
         labels = label_session(self.session())
-        assert [l.verdict for l in labels[:10]] == [ALERT] * 10
+        assert labels.verdict[:10].tolist() == [ALERT] * 10
         # first slow event still has a fast 90 s window -> excluded
-        assert labels[10].verdict == EXCLUDED
-        assert labels[10].global_rt_s == pytest.approx(0.5)
+        assert labels.verdict[10] == EXCLUDED
+        assert labels.global_rt_s[10] == pytest.approx(0.5)
         # mixed window straddling the change -> intermediate global RT
-        assert labels[13].verdict == EXCLUDED
-        assert labels[13].global_rt_s == pytest.approx((6 * 0.5 + 3 * 2.0) / 9)
+        assert labels.verdict[13] == EXCLUDED
+        assert labels.global_rt_s[13] == pytest.approx((6 * 0.5 + 3 * 2.0) / 9)
         # last event: window is all slow
-        assert labels[19].verdict == DROWSY
-        assert labels[19].global_rt_s == pytest.approx(2.0)
+        assert labels.verdict[19] == DROWSY
+        assert labels.global_rt_s[19] == pytest.approx(2.0)
 
     def test_first_event_falls_back_to_local(self):
         labels = label_session(self.session())
-        assert labels[0].global_rt_s == labels[0].local_rt_s
+        assert labels.global_rt_s[0] == labels.local_rt_s[0]
+
+    def test_matches_the_per_event_reference(self):
+        empty_windows = at_alert = at_drowsy = 0
+        for seed in range(24):
+            session, r0 = random_session(seed)
+            labels = label_session(session)
+            local, glob, verdicts, alert_rt = reference_labels(session)
+            assert labels.alert_rt_s == alert_rt == r0
+            np.testing.assert_array_equal(labels.local_rt_s, local)
+            np.testing.assert_array_equal(labels.global_rt_s, glob)
+            np.testing.assert_array_equal(labels.verdict, verdicts)
+            empty_windows += np.count_nonzero(np.diff(session.events[:, 0]) > 90.0)
+            at_alert += np.count_nonzero(local == 1.5 * r0)
+            at_drowsy += np.count_nonzero(local == 2.5 * r0)
+        assert empty_windows > 0 and at_alert > 0 and at_drowsy > 0
 
     def test_too_few_events(self):
         with pytest.raises(ValueError, match="at least 20"):
@@ -155,7 +214,7 @@ class TestExtractWindows:
     def test_window_alignment_and_count(self):
         session = self.ramp_session()
         labels = label_session(session)
-        assert all(l.verdict == ALERT for l in labels)
+        assert np.all(labels.verdict == ALERT)
         out = session_samples(session, labels, 7, 0).samples
         # the t=2 s event lacks 3 s of history and is skipped
         assert len(out) == 19
@@ -169,32 +228,29 @@ class TestExtractWindows:
         session = self.ramp_session()
         session.signal = Rng(9).normal(session.signal.shape)
         labels = label_session(session)
-        for l, verdict in zip(labels, [ALERT, DROWSY, EXCLUDED, ALERT] * 5):
-            l.verdict = verdict
+        labels.verdict[:] = [ALERT, DROWSY, EXCLUDED, ALERT] * 5
         out = session_samples(session, labels, 3, 4)
-        kept = [i for i, l in enumerate(labels) if i > 0 and l.verdict != EXCLUDED]
+        kept = [i for i, v in enumerate(labels.verdict) if i > 0 and v != EXCLUDED]
         assert len(out.samples) == len(kept) == 14
         for row, i in zip(out.samples.data, kept):
             end = int(round(session.events[i, 0] * 500))
             expected = resample_500_to_128(session.signal[end - 1500:end]).astype(np.float32)
             np.testing.assert_array_equal(row, expected)
         np.testing.assert_array_equal(out.samples.labels,
-                                      [int(labels[i].verdict == DROWSY) for i in kept])
+                                      [int(labels.verdict[i] == DROWSY) for i in kept])
         np.testing.assert_array_equal(out.samples.subjects, 3)
-        np.testing.assert_array_equal(out.local_rts, [labels[i].local_rt_s for i in kept])
+        np.testing.assert_array_equal(out.local_rts, labels.local_rt_s[kept])
 
     def test_excluded_events_skipped(self):
         session = self.ramp_session()
         labels = label_session(session)
-        for l in labels:
-            l.verdict = EXCLUDED
+        labels.verdict[:] = EXCLUDED
         assert len(session_samples(session, labels, 0, 0).samples) == 0
 
     def test_drowsy_label_mapping(self):
         session = self.ramp_session()
         labels = label_session(session)
-        for l in labels:
-            l.verdict = DROWSY
+        labels.verdict[:] = DROWSY
         out = session_samples(session, labels, 0, 0).samples
         assert set(out.labels) == {1}
 
@@ -267,8 +323,8 @@ class TestBalance:
         sessions = []
         for subject in range(1, 5):
             for sid in range(1, 3):
-                n_a = 50 + rng.integers(0, 40)
-                n_d = 50 + rng.integers(0, 40)
+                n_a = 50 + int(rng.uniform(high=40))
+                n_d = 50 + int(rng.uniform(high=40))
                 sessions.append(session_of(subject, sid,
                                            list(rng.uniform((n_a,), 0.3, 0.7)),
                                            list(rng.uniform((n_d,), 1.5, 3.0))))
@@ -302,14 +358,14 @@ class TestSampleSetIO:
     def random_set(self, rng, n):
         data = rng.normal((n, 384)).astype(np.float32)
         labels = (rng.uniform((n,)) < 0.5).astype(np.uint8)
-        subjects = rng.integers(0, 12, (n,)).astype(np.uint16)
+        subjects = np.floor(rng.uniform((n,), 0.0, 12)).astype(np.uint16)
         return SampleSet(data, labels, subjects)
 
     def test_round_trip_100_random_sets(self, tmp_path):
         rng = Rng(11)
         path = tmp_path / "s.eegd"
         for _ in range(100):
-            original = self.random_set(rng, 1 + rng.integers(0, 6))
+            original = self.random_set(rng, 1 + int(rng.uniform(high=6)))
             write_sampleset(original, path)
             assert read_sampleset(path) == original
 
