@@ -3,14 +3,14 @@
 Three feature families (relative band powers, band-power ratios, four
 entropies), computed for all rows of [..., 384] samples at once, plus five
 classifiers implemented directly (logistic regression, LDA, QDA, Gaussian
-naive Bayes, k-nearest-neighbors).  Everything in this module is
-deterministic: no RNG, so fit+predict is a pure function of the data.
+naive Bayes, k-nearest-neighbors).  One function, `classify`, fits a
+classifier and predicts with it; LDA, QDA and GNB are one Gaussian
+discriminant that differs only in the covariance it fits.  Everything in
+this module is deterministic: no RNG, so fit+predict is a pure function of
+the data.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -284,25 +284,25 @@ def feature_matrix(data: np.ndarray, kind: str) -> np.ndarray:
 
 # -- classifiers ---------------------------------------------------------------
 
-@dataclass
-class ClassifierModel:
-    """A fitted classifier: the training features' standardization and the
-    kind's scorer, which maps standardized [n, d] features to per-class
-    scores [n, 2]; the larger score wins and a tie goes to class 0."""
-
-    kind: str
-    feat_mean: np.ndarray
-    feat_std: np.ndarray
-    scores: Callable[[np.ndarray], np.ndarray]
-
-
 def _shrunk(cov: np.ndarray) -> np.ndarray:
     d = cov.shape[0]
     return cov + (SHRINKAGE * np.trace(cov) / d) * np.eye(d)
 
 
-def fit_classifier(kind: str, features: np.ndarray, labels, k: int = KNN_K) -> ClassifierModel:
-    """Fit one of the five classifier kinds on standardized features."""
+def classify(kind: str, features: np.ndarray, labels, queries: np.ndarray,
+             k: int = KNN_K) -> np.ndarray:
+    """Fit one of the five classifier kinds on [n, d] features and their
+    labels, and return the 0/1 label of each row of [m, d] queries.
+
+    Both matrices are standardized with the training mean and std. Each
+    kind scores the queries per class; the larger score wins and a tie goes
+    to class 0. LDA, QDA and GNB are one Gaussian discriminant,
+    -0.5 * (log det S_c + (q - mu_c)' S_c^-1 (q - mu_c)) + log prior_c,
+    and differ only in the covariance S_c: the pooled shrunk covariance
+    over n - 2 for both classes (LDA), each class's shrunk covariance over
+    n_c - 1 (QDA), or each class's diagonal of per-feature variances
+    floored at GNB_VAR_FLOOR (GNB).
+    """
     if kind not in CLASSIFIER_KINDS:
         raise ValueError(f"unknown classifier kind: {kind!r}")
     x = np.asarray(features, dtype=np.float64)
@@ -314,13 +314,16 @@ def fit_classifier(kind: str, features: np.ndarray, labels, k: int = KNN_K) -> C
         raise ValueError("training data contains a single class")
     if counts.min() < 2:
         raise ValueError("need at least 2 samples per class")
+    n, d = x.shape
+    q = np.asarray(queries, dtype=np.float64)
+    if q.ndim != 2 or q.shape[1] != d:
+        raise ValueError(f"expected {d} features per query row, got shape {q.shape}")
 
     mean = x.mean(axis=0)
     std = x.std(axis=0)
     std = np.where(std > 1e-12, std, 1.0)
     z = (x - mean) / std
-    n, d = z.shape
-    log_priors = np.log(counts / n)
+    q = (q - mean) / std
 
     if kind == "lr":
         w = np.zeros(d)
@@ -330,64 +333,34 @@ def fit_classifier(kind: str, features: np.ndarray, labels, k: int = KNN_K) -> C
             err = p - y
             w -= LR_STEP * (z.T @ err / n + 2.0 * LR_L2 * w)
             b -= LR_STEP * float(err.mean())
-
-        def scores(q):
-            margin = q @ w + b
-            return np.column_stack([-margin, margin])
-    elif kind == "lda":
+        margin = q @ w + b
+        scores = np.column_stack([-margin, margin])
+    elif kind == "knn":
+        k = min(k, n)
+        dist = np.sqrt(((z - q[:, None]) ** 2).sum(axis=2))
+        # stable sort: equal distances resolve to the lower training index
+        votes = y[np.argsort(dist, axis=1, kind="stable")[:, :k]].sum(axis=1)
+        scores = np.column_stack([k - votes, votes])
+    else:
         mus = np.stack([z[y == c].mean(axis=0) for c in (0, 1)])
         centered = z - mus[y]
-        inv = np.linalg.inv(_shrunk(centered.T @ centered / (n - 2)))
-
-        def scores(q):
-            return np.column_stack([q @ inv @ mu - 0.5 * mu @ inv @ mu + log_prior
-                                    for mu, log_prior in zip(mus, log_priors)])
-    elif kind == "qda":
-        fitted = []
-        for c in (0, 1):
-            zc = z[y == c]
-            mu = zc.mean(axis=0)
-            cov = _shrunk((zc - mu).T @ (zc - mu) / (zc.shape[0] - 1))
+        if kind == "lda":
+            covs = [_shrunk(centered.T @ centered / (n - 2))] * 2
+        elif kind == "qda":
+            covs = [_shrunk(centered[y == c].T @ centered[y == c] / (counts[c] - 1))
+                    for c in (0, 1)]
+        else:  # gnb
+            covs = [np.diag(np.maximum((centered[y == c] ** 2).mean(axis=0), GNB_VAR_FLOOR))
+                    for c in (0, 1)]
+        columns = []
+        for mu, cov, log_prior in zip(mus, covs, np.log(counts / n)):
             sign, logdet = np.linalg.slogdet(cov)
             if sign <= 0:
                 raise ValueError("class covariance is not positive definite")
-            fitted.append((mu, np.linalg.inv(cov), logdet, log_priors[c]))
-
-        def scores(q):
-            columns = []
-            for mu, inv, logdet, log_prior in fitted:
-                diff = q - mu
-                mahal = np.einsum("ij,jk,ik->i", diff, inv, diff)
-                columns.append(-0.5 * (logdet + mahal) + log_prior)
-            return np.column_stack(columns)
-    elif kind == "gnb":
-        mus = [z[y == c].mean(axis=0) for c in (0, 1)]
-        variances = [np.maximum(z[y == c].var(axis=0), GNB_VAR_FLOOR) for c in (0, 1)]
-
-        def scores(q):
-            return np.column_stack([
-                (-0.5 * (np.log(2 * np.pi * var) + (q - mu) ** 2 / var)).sum(axis=1) + log_prior
-                for mu, var, log_prior in zip(mus, variances, log_priors)])
-    else:  # knn
-        k = min(k, n)
-
-        def scores(q):
-            dist = np.sqrt(((z - q[:, None]) ** 2).sum(axis=2))
-            # stable sort: equal distances resolve to the lower training index
-            votes = y[np.argsort(dist, axis=1, kind="stable")[:, :k]].sum(axis=1)
-            return np.column_stack([k - votes, votes])
-
-    return ClassifierModel(kind, mean, std, scores)
-
-
-def predict_classifier(model: ClassifierModel, features: np.ndarray) -> np.ndarray:
-    """Deterministic label predictions for [n, d] features."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.shape[1] != model.feat_mean.size:
-        raise ValueError(f"expected {model.feat_mean.size} features, got {x.shape[1]}")
-    scores = model.scores((x - model.feat_mean) / model.feat_std)
+            diff = q - mu
+            mahal = np.einsum("ij,jk,ik->i", diff, np.linalg.inv(cov), diff)
+            columns.append(-0.5 * (logdet + mahal) + log_prior)
+        scores = np.column_stack(columns)
     return (scores[:, 1] > scores[:, 0]).astype(np.int64)
 
 
@@ -399,7 +372,6 @@ def loso_accuracies(features: np.ndarray, labels, subjects, clf_kind: str) -> tu
     accs = []
     for sid in subject_ids:
         test = subjects == sid
-        model = fit_classifier(clf_kind, features[~test], labels[~test])
-        pred = predict_classifier(model, features[test])
+        pred = classify(clf_kind, features[~test], labels[~test], features[test])
         accs.append(float((pred == labels[test]).mean()))
     return subject_ids, np.array(accs)

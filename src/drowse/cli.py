@@ -95,6 +95,9 @@ def cmd_prepare(args) -> int:
         except (OSError, ValueError) as exc:
             raise ValueError(f"{path}: {exc}")
     data = dataio.balance(kept)
+    for sid in sorted({s.subject_id for s in kept} - set(data.subject_ids())):
+        print(f"warning: subject {sid}: no session has {dataio.MIN_CLASS_PER_SESSION} "
+              "samples of each class, dropped", file=sys.stderr)
     dataio.write_sampleset(data, args.out)
     _print_counts(data)
     print(f"wrote {len(data)} samples to {args.out}")

@@ -468,8 +468,8 @@ def generate_synthetic(n_subjects: int, per_class: int, seed: int) -> SampleSet:
     over pink noise.  Subject identity shifts the spindle frequency, gain
     and noise floor.  Deterministic per seed.
     """
-    if n_subjects < 2:
-        raise ValueError("need at least 2 subjects")
+    if not 2 <= n_subjects <= 65535:
+        raise ValueError("need 2 to 65535 subjects")
     if per_class < 10:
         raise ValueError("need at least 10 samples per class")
     base = Rng(seed)

@@ -7,14 +7,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from drowse.baselines import (
     FEATURE_CHUNK,
+    GNB_VAR_FLOOR,
+    SHRINKAGE,
     approximate_entropy,
+    classify,
     feature_matrix,
-    fit_classifier,
     four_entropies,
     fuzzy_entropy,
     loso_accuracies,
     power_ratios,
-    predict_classifier,
     ratios_from_bands,
     relative_powers,
     sample_entropy,
@@ -338,25 +339,56 @@ def clouds(n_per_class=40, distance=3.0, seed=51):
     return x, y
 
 
+# Independent reference forms of two Gaussian classifiers: LDA's linear score
+# q' S^-1 mu - mu' S^-1 mu / 2 + log prior on the pooled shrunk covariance,
+# and GNB's per-feature sum of log normal densities. They round differently
+# from classify's quadratic discriminant, but must make the same predictions.
+
+def _standardized(x, q):
+    mean, std = x.mean(axis=0), x.std(axis=0)
+    std = np.where(std > 1e-12, std, 1.0)
+    return (x - mean) / std, (q - mean) / std
+
+
+def linear_lda_oracle(x, y, q):
+    z, q = _standardized(x, q)
+    n, d = z.shape
+    mus = np.stack([z[y == c].mean(axis=0) for c in (0, 1)])
+    centered = z - mus[y]
+    cov = centered.T @ centered / (n - 2)
+    inv = np.linalg.inv(cov + SHRINKAGE * np.trace(cov) / d * np.eye(d))
+    scores = [q @ inv @ mu - 0.5 * mu @ inv @ mu + np.log(np.mean(y == c))
+              for c, mu in enumerate(mus)]
+    return (scores[1] > scores[0]).astype(np.int64)
+
+
+def per_feature_gnb_oracle(x, y, q):
+    z, q = _standardized(x, q)
+    scores = []
+    for c in (0, 1):
+        mu = z[y == c].mean(axis=0)
+        var = np.maximum(z[y == c].var(axis=0), GNB_VAR_FLOOR)
+        log_density = -0.5 * (np.log(2 * np.pi * var) + (q - mu) ** 2 / var)
+        scores.append(log_density.sum(axis=1) + np.log(np.mean(y == c)))
+    return (scores[1] > scores[0]).astype(np.int64)
+
+
 class TestClassifiers:
     def test_separated_clouds_all_kinds(self):
         x, y = clouds()
         for kind in ("lr", "lda", "qda", "gnb", "knn"):
-            model = fit_classifier(kind, x, y)
-            acc = float((predict_classifier(model, x) == y).mean())
+            acc = float((classify(kind, x, y, x) == y).mean())
             assert acc >= 0.95, kind
 
     def test_knn_k1_memorizes(self):
         x, y = clouds(n_per_class=15, distance=1.0)
-        model = fit_classifier("knn", x, y, k=1)
-        np.testing.assert_array_equal(predict_classifier(model, x), y)
+        np.testing.assert_array_equal(classify("knn", x, y, x, k=1), y)
 
     def test_knn_distance_tie_lower_index(self):
         x = np.array([[0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [4.0, 4.0]])
         y = np.array([1, 0, 0, 1])
-        model = fit_classifier("knn", x, y, k=1)
         # the query ties between training rows 0 and 1; row 0 wins
-        assert predict_classifier(model, np.array([[0.0, 0.0]]))[0] == 1
+        assert classify("knn", x, y, np.array([[0.0, 0.0]]), k=1)[0] == 1
 
     def test_knn_matches_per_row_loop_with_ties(self):
         # integer features on a small grid give many equal distances, and
@@ -366,7 +398,6 @@ class TestClassifiers:
             x = np.round(rng.normal((30, 3)))
             y = np.array([0, 1] * 15)
             q = np.round(rng.normal((25, 3)))
-            model = fit_classifier("knn", x, y, k=k)
             std = x.std(axis=0)
             train_z = (x - x.mean(axis=0)) / std
             z = (q - x.mean(axis=0)) / std
@@ -376,13 +407,12 @@ class TestClassifiers:
                 order = np.argsort(dist, kind="stable")[:k]
                 votes = int(y[order].sum())
                 expected.append(1 if votes > k - votes else 0)
-            np.testing.assert_array_equal(predict_classifier(model, q), expected)
+            np.testing.assert_array_equal(classify("knn", x, y, q, k=k), expected)
 
     def test_gnb_posterior_tie_gives_zero(self):
         x = np.array([[0.0], [2.0], [0.0], [2.0]])
         y = np.array([0, 0, 1, 1])
-        model = fit_classifier("gnb", x, y)
-        np.testing.assert_array_equal(predict_classifier(model, np.array([[1.0], [0.0]])),
+        np.testing.assert_array_equal(classify("gnb", x, y, np.array([[1.0], [0.0]])),
                                       [0, 0])
 
     def test_lda_imbalance_shifts_centroid_prediction(self):
@@ -394,31 +424,52 @@ class TestClassifiers:
             extra = half if dup == 0 else -half
             x = np.vstack([half, -half, extra])
             y = np.array([0] * 20 + [1] * 20 + [dup] * 20)
-            model = fit_classifier("lda", x, y)
-            assert predict_classifier(model, model.feat_mean[None, :])[0] == dup
+            assert classify("lda", x, y, x.mean(axis=0)[None, :])[0] == dup
+
+    def test_lda_and_gnb_match_their_reference_forms(self):
+        # overlapping clouds of random shape and size, unequal class sizes
+        # in most problems, so many queries fall near the boundary
+        rng = Rng(57)
+        for problem in range(24):
+            n0 = 8 + problem
+            n1 = 8 + (problem * 7) % 23
+            d = 1 + problem % 5
+            shift = rng.uniform((d,), -1.0, 1.0)
+            x = np.vstack([rng.normal((n0, d)), rng.normal((n1, d)) * 1.5 + shift])
+            y = np.array([0] * n0 + [1] * n1)
+            q = rng.normal((40, d), std=2.0)
+            np.testing.assert_array_equal(classify("lda", x, y, q),
+                                          linear_lda_oracle(x, y, q), err_msg=str(problem))
+            np.testing.assert_array_equal(classify("gnb", x, y, q),
+                                          per_feature_gnb_oracle(x, y, q), err_msg=str(problem))
 
     def test_fit_errors(self):
         x, y = clouds(n_per_class=10)
         with pytest.raises(ValueError, match="single class"):
-            fit_classifier("lda", x, np.zeros_like(y))
+            classify("lda", x, np.zeros_like(y), x)
         with pytest.raises(ValueError, match="unknown classifier"):
-            fit_classifier("svm", x, y)
+            classify("svm", x, y, x)
         with pytest.raises(ValueError, match="2 samples per class"):
-            fit_classifier("lda", x[:11], y[:11])
+            classify("lda", x[:11], y[:11], x)
+
+    def test_constant_features_not_positive_definite(self):
+        # every standardized feature is zero, so even the shrunk covariance is
+        x = np.full((20, 4), 3.0)
+        y = np.array([0, 1] * 10)
+        for kind in ("lda", "qda"):
+            with pytest.raises(ValueError, match="not positive definite"):
+                classify(kind, x, y, x)
 
     def test_dimension_mismatch(self):
         x, y = clouds(n_per_class=10)
-        model = fit_classifier("lr", x, y)
         with pytest.raises(ValueError, match="expected 4 features"):
-            predict_classifier(model, np.zeros((2, 3)))
+            classify("lr", x, y, np.zeros((2, 3)))
 
     def test_deterministic(self):
         x, y = clouds()
         q = Rng(53).normal((7, 4))
         for kind in ("lr", "lda", "qda", "gnb", "knn"):
-            a = predict_classifier(fit_classifier(kind, x, y), q)
-            b = predict_classifier(fit_classifier(kind, x, y), q)
-            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(classify(kind, x, y, q), classify(kind, x, y, q))
 
 
 class TestBaselineLoso:

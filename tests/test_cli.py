@@ -82,6 +82,7 @@ class TestParsing:
         ("loso", "--batch", "1"),
         ("loso", "--repeats", "0"),
         ("synth", "--subjects", "1"),
+        ("synth", "--subjects", "65536"),
         ("synth", "--per-class", "3"),
     ], ids=" ".join)
     def test_bad_size_flag_is_usage_error(self, tmp_path, capsys, argv):
@@ -142,6 +143,18 @@ class TestPrepare:
         captured = capsys.readouterr()
         assert code == 0
         assert "skipped" in captured.err
+        assert dataio.read_sampleset(tmp_path / "out.eegd").subject_ids() == [1]
+
+    def test_dropped_subject_named_in_warning(self, tmp_path, capsys):
+        # subject 2's only session is all fast, so it has no drowsy sample
+        write_rt_session(tmp_path / "s01_1.eegs")
+        write_rt_session(tmp_path / "s02_1.eegs", n_slow=0)
+        code = run("prepare", str(tmp_path / "s01_1.eegs"),
+                   str(tmp_path / "s02_1.eegs"), "--out", str(tmp_path / "out.eegd"))
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "warning: subject 2: " in captured.err and "dropped" in captured.err
+        assert "subject 1" not in captured.err
         assert dataio.read_sampleset(tmp_path / "out.eegd").subject_ids() == [1]
 
     def test_zero_samples_is_runtime_error(self, tmp_path, capsys):
