@@ -310,7 +310,7 @@ def classify(kind: str, features: np.ndarray, labels, queries: np.ndarray,
     if x.ndim != 2 or x.shape[0] != y.size:
         raise ValueError("features must be [n, d] with one label per row")
     counts = np.bincount(y, minlength=2)
-    if np.unique(y).size < 2:
+    if np.count_nonzero(counts) < 2:
         raise ValueError("training data contains a single class")
     if counts.min() < 2:
         raise ValueError("need at least 2 samples per class")

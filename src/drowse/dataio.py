@@ -14,6 +14,7 @@ view that indexing a SampleSet returns.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import cache
@@ -113,7 +114,9 @@ class SampleSet:
         )
 
     def subject_ids(self) -> list:
-        return sorted(int(s) for s in np.unique(self.subjects))
+        """Sorted distinct subject ids, by a set: the first np.unique call
+        of a process imports numpy.ma, which costs more than this."""
+        return sorted(set(self.subjects.tolist()))
 
     def subset(self, which) -> "SampleSet":
         return SampleSet(self.data[which], self.labels[which], self.subjects[which])
@@ -125,8 +128,9 @@ class SampleSet:
 
 
 def loso_subject_ids(subjects) -> list:
-    """Sorted distinct subject ids, at least the 2 leave-one-subject-out needs."""
-    subject_ids = sorted(int(s) for s in np.unique(subjects))
+    """Sorted distinct subject ids, at least the 2 leave-one-subject-out
+    needs; counted by a set, as SampleSet.subject_ids does."""
+    subject_ids = sorted(set(np.asarray(subjects).tolist()))
     if len(subject_ids) < 2:
         raise ValueError("leave-one-subject-out needs at least 2 subjects")
     return subject_ids
@@ -195,6 +199,17 @@ def _verdicts(local_rt: np.ndarray, global_rt: np.ndarray, alert_rt: float) -> n
     return np.select([alert, drowsy], [ALERT, DROWSY], EXCLUDED)
 
 
+def _percentile(values: np.ndarray, q: float) -> float:
+    # np.percentile's default linear method, step for step (so with its
+    # bits), without the np.unique call whose first use imports numpy.ma.
+    pos = (values.size - 1) * (q / 100)
+    lo = math.floor(pos)
+    hi = min(lo + 1, values.size - 1)
+    a, b = np.partition(values, (lo, hi))[[lo, hi]]
+    t, diff = pos - lo, b - a
+    return float(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+
+
 def label_session(session: SessionRecord) -> SessionLabels:
     """Label every event of a session ALERT, DROWSY or EXCLUDED.
 
@@ -208,7 +223,7 @@ def label_session(session: SessionRecord) -> SessionLabels:
         raise ValueError(f"need at least {MIN_EVENTS} events to label a session, got {n}")
     onsets = session.events[:, 0]
     local_rts = session.events[:, 1] - onsets
-    alert_rt = float(np.percentile(local_rts, 5.0))
+    alert_rt = _percentile(local_rts, 5.0)
     starts = np.searchsorted(onsets, onsets - GLOBAL_WINDOW_S, side="left")
     stops = np.searchsorted(onsets, onsets, side="left")
     global_rts = np.array([local_rts[lo:hi].mean() if hi > lo else local
@@ -306,8 +321,9 @@ def session_samples(session: SessionRecord, labels: SessionLabels, subject_id: i
     return SessionSamples(subject_id, session_id, samples, labels.local_rt_s[kept])
 
 
-def _trim_majority(sess: SessionSamples) -> SampleSet:
-    """Equalize class counts: keep the shortest-RT alert / longest-RT drowsy samples."""
+def _trim_majority(sess: SessionSamples) -> np.ndarray:
+    """Equalize class counts: the mask of the shortest-RT alert / longest-RT
+    drowsy samples."""
     labels = sess.samples.labels
     n_keep = min(sess.samples.class_counts(sess.subject_id))
     key = np.where(labels == DROWSY, -sess.local_rts, sess.local_rts)
@@ -315,7 +331,7 @@ def _trim_majority(sess: SessionSamples) -> SampleSet:
     for label in (ALERT, DROWSY):
         pos = np.flatnonzero(labels == label)
         keep[pos[np.argsort(key[pos], kind="stable")[:n_keep]]] = True
-    return sess.samples.subset(keep)
+    return keep
 
 
 def balance(sessions) -> SampleSet:
@@ -335,12 +351,20 @@ def balance(sessions) -> SampleSet:
         n_alert, n_drowsy = s.samples.class_counts(s.subject_id)
         return (abs(n_alert - n_drowsy), -(n_alert + n_drowsy), s.session_id)
 
-    kept = [_trim_majority(min(by_subject[subject], key=rank)) for subject in sorted(by_subject)]
+    kept = [min(by_subject[subject], key=rank) for subject in sorted(by_subject)]
     if not kept:
         raise ValueError("no session survived balancing")
-    return SampleSet(np.concatenate([s.data for s in kept]),
-                     np.concatenate([s.labels for s in kept]),
-                     np.concatenate([s.subjects for s in kept]))
+    masks = [_trim_majority(sess) for sess in kept]
+    # Each kept row is gathered once, straight into the output.
+    data = np.empty((sum(np.count_nonzero(m) for m in masks), SAMPLE_POINTS), np.float32)
+    start = 0
+    for sess, mask in zip(kept, masks):
+        stop = start + np.count_nonzero(mask)
+        np.compress(mask, sess.samples.data, axis=0, out=data[start:stop])
+        start = stop
+    keep = np.concatenate(masks)
+    return SampleSet(data, np.concatenate([s.samples.labels for s in kept])[keep],
+                     np.concatenate([s.samples.subjects for s in kept])[keep])
 
 
 # -- file formats -------------------------------------------------------------

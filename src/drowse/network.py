@@ -29,18 +29,30 @@ probabilities and the loss are float64 for either. The public
 single-layer functions batchnorm_eval, elu and avgpool compute in float64.
 
 batchnorm_eval serves both modes: it standardizes with the statistics it
-is given, running ones in eval mode and batch ones in train mode. The
-backward passes reuse what the forward holds. For x <= 0 the ELU slope is
+is given, running ones in eval mode and batch ones in train mode, in the
+train path's order: xhat = (x - mean) * inv_std, then gamma * xhat + beta.
+In the network every per-channel sum of batch norm (the mean, the
+two-pass centered variance, dbeta and dgamma) is one BLAS product
+ones @ x over the [B * n, K] rows, the train-mode forward keeps xhat for
+the backward, and eval mode applies one scale, gamma / sqrt(run_var +
+eps), and one shift. Per-channel vectors are tiled over the n points, so
+that each ufunc runs one long inner loop instead of one per point.
+
+The backward passes reuse what the forward holds. For x <= 0 the ELU slope is
 exp(x) = elu(x) + 1, so it needs no second exp. In batch norm, with
 dxhat = gamma * dout, sum(dxhat) = gamma * dbeta and sum(dxhat * xhat) =
-gamma * dgamma, so dx = gamma * inv_std * (dout - (dbeta + xhat * dgamma) / N).
+gamma * dgamma, so dx = gamma * inv_std * (dout - (dbeta + xhat * dgamma) / N):
+a * dout + b * xhat + c with per-channel a, b and c, built in dout's buffer.
+ELU is max(expm1(min(x, 0)), x) and pooling adds each window's points in
+order, then divides: the values of expm1(min(x, 0)) + max(x, 0) and of
+np.mean, in fewer passes.
 
 The conv -> batch norm -> ELU -> pool block keeps its activations
 channels-last, [B, n, K], the layout the conv matmul writes: batch
 statistics reduce over axes (0, 1), each layer fills one buffer per call
-in place, pooling is a mean over the pool axis of a [B, T, pool, K]
-reshape that is already the LSTM's [B, T, K] input, and the backward
-broadcasts each window's gradient over that axis instead of repeating it.
+in place, pooling adds the pool-axis slices of a [B, T, pool, K] reshape
+into the LSTM's [B, T, K] input, and the backward broadcasts each
+window's gradient over that axis instead of repeating it.
 The trace exposes [B, K, n] and [B, K, T] transposed views of these
 buffers, the layout the public batchnorm_eval, elu and avgpool take. The
 conv has no bias: batch norm subtracts each channel's mean, which would
@@ -60,7 +72,11 @@ without one stays valid.
 The LSTM's weights are kept stacked, one [4D, ...] tensor each for the
 input weights, the recurrent weights and the biases, with row blocks in
 gate order i, f, g, o, so every step is one gate matmul forward and
-backward. Model files keep one tensor per gate (lstm.W_i ... lstm.b_o);
+backward. A forward step takes one tanh for all four gates, as
+sigmoid(a) = 0.5 + 0.5 * tanh(a / 2): the exact halving is folded into
+the input projection and the recurrent weights, and one per-block scale
+and shift turn tanh into the sigmoid gates and leave g's tanh as it is.
+Model files keep one tensor per gate (lstm.W_i ... lstm.b_o);
 _TENSOR_ATTRS maps each to its row block.
 """
 
@@ -72,7 +88,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .binio import FormatError, check_version, expect_magic, read_exact, read_u16, read_u32
-from .numerics import Rng, Workspace, assert_finite, sigmoid, softmax_rows
+from .numerics import Rng, Workspace, assert_finite, softmax_rows
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1  # new_running = (1 - m) * old + m * batch
@@ -206,33 +222,54 @@ def _conv_backward(dout, windows):
     return dw2[:, None, :]
 
 
-def _batchnorm(centered, gamma, beta, var):
-    # In place on channels-last x - mean: gamma * (x - mean) * inv_std + beta.
-    centered *= gamma
-    centered *= 1.0 / np.sqrt(var + BN_EPS)
-    centered += beta
-    return centered
+def _channel_sum(x):
+    # Per-channel sum of a channels-last [..., K] array as one BLAS product.
+    rows = x.reshape(-1, x.shape[-1])
+    return np.ones(rows.shape[0], rows.dtype) @ rows
+
+
+def _per_point(v, x):
+    # A per-channel [K] vector repeated over the n points of a channels-last
+    # [B, n, K] x. Against a [K] vector a ufunc on x loops over K elements at
+    # a time; against this [n, K] array, over n * K. The bits are the same.
+    return np.tile(v, (x.shape[1], 1))
 
 
 def batchnorm_eval(x, gamma, beta, mean, var):
     """Per-channel standardization of a [B, K, n] activation with the
     statistics it is given: the running statistics in eval mode, the batch
     statistics in train mode."""
-    x = np.asarray(x, dtype=np.float64).transpose(0, 2, 1)
-    return _batchnorm(np.subtract(x, mean), gamma, beta, var).transpose(0, 2, 1)
+    out = np.subtract(np.asarray(x, dtype=np.float64).transpose(0, 2, 1), mean)
+    out *= 1.0 / np.sqrt(var + BN_EPS)
+    out *= gamma
+    out += beta
+    return out.transpose(0, 2, 1)
+
+
+def _batchnorm_running(x, params: ModelParams, out):
+    # Eval mode on channels-last x: the running statistics and the affine
+    # folded into one per-channel scale and one shift.
+    scale = params.bn_gamma / np.sqrt(params.bn_run_var + BN_EPS)
+    np.multiply(x, _per_point(scale, x), out=out)
+    out += _per_point(params.bn_beta - params.bn_run_mean * scale, x)
+    return out
 
 
 def _batchnorm_train(x, gamma, beta, ws: Workspace):
-    # x: channels-last [B, n, K].
+    # Channels-last [B, n, K]. Returns the output, the standardized xhat
+    # (kept for the backward) and the batch statistics. The output buffer
+    # first holds the squares of the two-pass centered variance.
     if x.shape[0] < 2:
         raise ValueError("batch norm in train mode needs a batch of at least 2")
-    mean = x.mean(axis=(0, 1))
-    centered = np.subtract(x, mean, out=ws.take("bn", x.shape, x.dtype))
-    # Population variance over batch x time, by np.var's own steps (so with
-    # its bits) on the x - mean buffer that the output is then built in.
-    var = np.square(centered, out=ws.take("tmp", x.shape, x.dtype)).sum(axis=(0, 1)) / (
-        x.shape[0] * x.shape[1])
-    return _batchnorm(centered, gamma, beta, var), mean, var
+    count = x.shape[0] * x.shape[1]
+    mean = _channel_sum(x) / count
+    xhat = np.subtract(x, _per_point(mean, x), out=ws.take("xhat", x.shape, x.dtype))
+    out = np.square(xhat, out=ws.take("bn", x.shape, x.dtype))
+    var = _channel_sum(out) / count
+    xhat *= _per_point(1.0 / np.sqrt(var + BN_EPS), x)
+    np.multiply(xhat, _per_point(gamma, x), out=out)
+    out += _per_point(beta, x)
+    return out, xhat, mean, var
 
 
 def updated_running_stats(params: ModelParams, batch_mean, batch_var):
@@ -241,34 +278,34 @@ def updated_running_stats(params: ModelParams, batch_mean, batch_var):
     return new_mean, new_var
 
 
-def _batchnorm_backward(dout, x, mean, var, gamma, ws: Workspace):
-    # Channels-last [B, n, K]; dx is built in place in the xhat buffer.
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = np.subtract(x, mean, out=ws.take("xhat", x.shape, x.dtype))
-    xhat *= inv_std
-    dgamma = np.sum(np.multiply(dout, xhat, out=ws.take("tmp", x.shape, x.dtype)), axis=(0, 1))
-    dbeta = np.sum(dout, axis=(0, 1))
-    xhat *= dgamma
-    xhat += dbeta
-    xhat /= dout.shape[0] * dout.shape[1]
-    np.subtract(dout, xhat, out=xhat)
-    xhat *= gamma * inv_std
-    return xhat, dgamma, dbeta
+def _batchnorm_backward(dout, xhat, var, gamma, ws: Workspace):
+    # Channels-last [B, n, K]; dx = a * dout + b * xhat + c is built in
+    # place in dout's buffer.
+    count = dout.shape[0] * dout.shape[1]
+    dbeta = _channel_sum(dout)
+    tmp = np.multiply(dout, xhat, out=ws.take("tmp", dout.shape, dout.dtype))
+    dgamma = _channel_sum(tmp)
+    a = gamma / np.sqrt(var + BN_EPS)
+    np.multiply(xhat, _per_point(a * dgamma / -count, xhat), out=tmp)
+    dout *= _per_point(a, dout)
+    dout += tmp
+    dout += _per_point(a * dbeta / -count, dout)
+    return dout, dgamma, dbeta
 
 
-def _elu(x, out, tmp):
-    # One of the two terms is exactly 0.0, so each element is x or
-    # expm1(x) (-0.0 comes out as 0.0), with no exp of positive values.
+def _elu(x, out):
+    # expm1(min(x, 0)) is 0.0 for x > 0 and at least x otherwise, so each
+    # element is x or expm1(x) (-0.0 stays -0.0: on a tie np.maximum
+    # returns its second argument), with no exp of positive values.
     np.minimum(x, 0.0, out=out)
     np.expm1(out, out=out)
-    out += np.maximum(x, 0.0, out=tmp)
-    return out
+    return np.maximum(out, x, out=out)
 
 
 def elu(x: np.ndarray) -> np.ndarray:
     """Exponential linear unit, alpha = 1."""
     x = np.asarray(x, dtype=np.float64)
-    return _elu(x, np.empty_like(x), np.empty_like(x))
+    return _elu(x, np.empty_like(x))
 
 
 def _elu_backward(dout, elu_out, ws: Workspace):
@@ -279,18 +316,26 @@ def _elu_backward(dout, elu_out, ws: Workspace):
     return grad
 
 
-def _avgpool(x, pool, out=None):
-    # Channels-last [B, n, K] -> [B, n / pool, K].
+def _avgpool(x, pool, out):
+    # Channels-last [B, n, K] -> [B, n / pool, K]: the window's points
+    # added in order, then divided by pool, as np.mean does.
     b, n, k = x.shape
-    return x.reshape(b, n // pool, pool, k).mean(axis=2, out=out)
+    windows = x.reshape(b, n // pool, pool, k)
+    np.copyto(out, windows[:, :, 0])
+    for j in range(1, pool):
+        out += windows[:, :, j]
+    out /= pool
+    return out
 
 
 def avgpool(x: np.ndarray, pool: int) -> np.ndarray:
     """Non-overlapping temporal average pooling of a [B, K, n] activation."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[2] % pool != 0:
-        raise ValueError(f"temporal length {x.shape[2]} not divisible by pool {pool}")
-    return _avgpool(x.transpose(0, 2, 1), pool).transpose(0, 2, 1)
+    b, k, n = x.shape
+    if n % pool != 0:
+        raise ValueError(f"temporal length {n} not divisible by pool {pool}")
+    out = np.empty((b, n // pool, k))
+    return _avgpool(x.transpose(0, 2, 1), pool, out).transpose(0, 2, 1)
 
 
 @dataclass
@@ -316,23 +361,33 @@ def lstm_forward(xs: np.ndarray, params: ModelParams) -> tuple[np.ndarray, LstmC
     params = params.astype(dtype)
     batch, steps, _ = xs.shape
     d = params.lstm_u.shape[1]
-    proj = xs.reshape(batch * steps, -1) @ params.lstm_w.T + params.lstm_b  # input part of all gates
-    proj = proj.reshape(batch, steps, 4 * d)
+    # sigmoid(a) = 0.5 + 0.5 * tanh(a / 2); block g keeps tanh(a)
+    half = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype), d)
+    shift = np.repeat(np.array([0.5, 0.5, 0.0, 0.5], dtype), d)
+    proj = xs.reshape(batch * steps, -1) @ params.lstm_w.T  # input part of all gates
+    proj += params.lstm_b
+    proj *= half
+    u_half = params.lstm_u.T * half
 
     gates = np.empty((steps, batch, 4 * d), dtype)
+    gates[...] = proj.reshape(batch, steps, 4 * d).transpose(1, 0, 2)
     c_seq = np.empty((steps, batch, d), dtype)
     tanh_c = np.empty((steps, batch, d), dtype)
     h_seq = np.zeros((steps + 1, batch, d), dtype)
-    c = np.zeros((batch, d), dtype)
+    c_prev = np.zeros((batch, d), dtype)
+    recurrent = np.empty((batch, 4 * d), dtype)
+    i_g = np.empty((batch, d), dtype)
     for t in range(steps):
-        a = proj[:, t, :] + h_seq[t] @ params.lstm_u.T
-        gates[t] = sigmoid(a)  # i, f and o; the g block is overwritten next
-        gates[t, :, 2 * d : 3 * d] = np.tanh(a[:, 2 * d : 3 * d])
-        i_t, f_t, g_t, o_t = (gates[t, :, j * d : (j + 1) * d] for j in range(4))
-        c = f_t * c + i_t * g_t
-        c_seq[t] = c
-        tanh_c[t] = np.tanh(c)
-        h_seq[t + 1] = o_t * tanh_c[t]
+        a = gates[t]  # holds the scaled input part; becomes the activations
+        a += np.matmul(h_seq[t], u_half, out=recurrent)
+        np.tanh(a, out=a)
+        a *= half
+        a += shift
+        c = np.multiply(a[:, d:2 * d], c_prev, out=c_seq[t])
+        c += np.multiply(a[:, :d], a[:, 2 * d:3 * d], out=i_g)
+        np.tanh(c, out=tanh_c[t])
+        np.multiply(a[:, 3 * d:], tanh_c[t], out=h_seq[t + 1])
+        c_prev = c
     cache = LstmCache(xs=xs, gates=gates, c=c_seq, tanh_c=tanh_c, h=h_seq)
     return h_seq[1:], cache
 
@@ -360,11 +415,11 @@ def _lstm_backward(dh_last: np.ndarray, cache: LstmCache, params: ModelParams):
     dh = dh_last
     dc = np.zeros((batch, d), xs.dtype)
     for t in range(steps - 1, -1, -1):
-        dc = dc + dh * dh_dc[t]
-        da[t, :, :3] = dc[:, None, :] * local[t, :, :3]
-        da[t, :, 3] = dh * local[t, :, 3]
+        dc += dh * dh_dc[t]
+        np.multiply(dc[:, None, :], local[t, :, :3], out=da[t, :, :3])
+        np.multiply(dh, local[t, :, 3], out=da[t, :, 3])
         dh = da[t].reshape(batch, 4 * d) @ params.lstm_u
-        dc = dc * f[t]
+        dc *= f[t]
     da = da.reshape(steps * batch, 4 * d)  # rows ordered (t, b)
     grads = {
         "lstm_w": da.T @ xs.transpose(1, 0, 2).reshape(steps * batch, k),
@@ -381,6 +436,7 @@ class ForwardTrace:
 
     conv_windows: np.ndarray  # [B, n, L]
     conv_out: np.ndarray  # [B, K, n], a view of the channels-last buffer
+    bn_xhat: np.ndarray | None  # [B, K, n] view, standardized conv_out (train mode only)
     bn_out: np.ndarray  # [B, K, n] view
     bn_mean: np.ndarray | None  # batch statistics (train mode only)
     bn_var: np.ndarray | None
@@ -418,13 +474,12 @@ def model_forward(
     conv_out = _conv_apply(windows, params.conv_w, ws)  # [B, n, K]
     shape = conv_out.shape
     if mode == "train":
-        bn_out, mean, var = _batchnorm_train(conv_out, params.bn_gamma, params.bn_beta, ws)
+        bn_out, xhat, mean, var = _batchnorm_train(conv_out, params.bn_gamma, params.bn_beta, ws)
+        xhat = xhat.transpose(0, 2, 1)
     else:
-        bn_out = _batchnorm(np.subtract(conv_out, params.bn_run_mean,
-                                        out=ws.take("bn", shape, dtype)),
-                            params.bn_gamma, params.bn_beta, params.bn_run_var)
-        mean = var = None
-    elu_out = _elu(bn_out, ws.take("elu", shape, dtype), ws.take("tmp", shape, dtype))
+        bn_out = _batchnorm_running(conv_out, params, ws.take("bn", shape, dtype))
+        xhat = mean = var = None
+    elu_out = _elu(bn_out, ws.take("elu", shape, dtype))
     lstm_in = _avgpool(elu_out, POOL, ws.take("pool", (shape[0], shape[1] // POOL, shape[2]),
                                               dtype))  # [B, T, K]
     hidden, lstm_cache = lstm_forward(lstm_in, params)
@@ -433,6 +488,7 @@ def model_forward(
     trace = ForwardTrace(
         conv_windows=windows,
         conv_out=conv_out.transpose(0, 2, 1),
+        bn_xhat=xhat,
         bn_out=bn_out.transpose(0, 2, 1),
         bn_mean=mean,
         bn_var=var,
@@ -493,8 +549,7 @@ def model_gradients(
     dbn_out = _elu_backward((dxs / POOL)[:, :, None, :],
                             pooled_windows, ws).reshape(elu_out.shape)
     dconv, dgamma, dbeta = _batchnorm_backward(
-        dbn_out, trace.conv_out.transpose(0, 2, 1), trace.bn_mean, trace.bn_var, params.bn_gamma,
-        ws)
+        dbn_out, trace.bn_xhat.transpose(0, 2, 1), trace.bn_var, params.bn_gamma, ws)
     grads: dict[str, np.ndarray] = {
         "conv_w": _conv_backward(dconv, trace.conv_windows),
         "bn_gamma": dgamma,

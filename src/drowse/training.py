@@ -112,7 +112,7 @@ def train(params, train_set, config: TrainConfig, rng: Rng, on_epoch=None):
     n = x.shape[0]
     if n == 0:
         raise ValueError("empty training set")
-    if np.unique(y).size < 2:
+    if y.min() == y.max():
         raise ValueError("training set contains a single class")
 
     state = AdamState.for_params(params)

@@ -405,3 +405,26 @@ def test_commands_import_only_what_they_run(synth_file, model_file, tmp_path, co
     modules = set(child.stdout.splitlines()[-1].split())
     assert "drowse.dataio" in modules
     assert not modules & {"drowse.training", "multiprocessing", "concurrent.futures"}
+
+
+@pytest.mark.parametrize("command", ["loso", "train", "prepare", "baseline"])
+def test_commands_do_not_import_numpy_ma(synth_file, tmp_path, command):
+    # The first np.unique call of a process imports numpy.ma, 10-16 ms of
+    # start-up that none of these commands needs.
+    sessions = []
+    if command == "prepare":
+        for sid in (1, 2):
+            sessions.append(str(tmp_path / f"s{sid:02d}_010203.eegs"))
+            write_rt_session(sessions[-1])
+    argv = {"loso": ["loso", "--data", synth_file, "--out", str(tmp_path / "rep"),
+                     "--epochs", "1", "--threads", "1"],
+            "train": ["train", "--data", synth_file, "--model", str(tmp_path / "m.eglm"),
+                      "--epochs", "1"],
+            "prepare": ["prepare", *sessions, "--out", str(tmp_path / "p.eegd")],
+            "baseline": ["baseline", "--data", synth_file, "--features", "relpower",
+                         "--clf", "lda", "--out", str(tmp_path / "b.csv")]}[command]
+    src = str(Path(drowse.__file__).resolve().parents[1])
+    child = subprocess.run([sys.executable, "-c", _IMPORTED_MODULES, *argv],
+                           env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                           text=True, timeout=120, check=True)
+    assert "numpy.ma" not in child.stdout.splitlines()[-1].split()

@@ -18,6 +18,7 @@ from drowse.dataio import (
     session_samples,
     write_sampleset,
     write_session,
+    _percentile,
     _verdicts,
 )
 from drowse.numerics import Rng, dft_power
@@ -109,6 +110,14 @@ class TestLabelSession:
         rts = np.arange(1.0, 21.0)
         labels = label_session(make_session(5.0 + 10.0 * np.arange(20), rts))
         assert labels.alert_rt_s == pytest.approx(1.0 + 0.95 * (2.0 - 1.0))
+
+    def test_percentile_has_the_bits_of_np_percentile(self):
+        # 41 levels per size, so both branches of the interpolation run
+        rng = Rng(12)
+        for n in (1, 2, 3, 20, 21, 97, 1000):
+            for q in np.linspace(0.0, 100.0, 41):
+                values = rng.normal((n,), mean=1.0, std=0.4)
+                assert _percentile(values.copy(), q) == float(np.percentile(values, q))
 
     def test_verdicts(self):
         labels = label_session(self.session())

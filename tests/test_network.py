@@ -26,10 +26,13 @@ from drowse.network import (
     model_gradients,
     save_params,
     updated_running_stats,
+    _avgpool,
     _batchnorm_backward,
     _batchnorm_train,
+    _channel_sum,
     _conv_apply,
     _conv_windows,
+    _elu,
     _elu_backward,
     _lstm_backward,
 )
@@ -143,6 +146,25 @@ class TestBatchNorm:
         with pytest.raises(ValueError, match="at least 2"):
             _batchnorm_train(np.zeros((1, 12, 4)), np.ones(4), np.zeros(4), Workspace())
 
+    def test_float32_channel_sum_is_near_the_float64_sum(self):
+        # 19 200 terms per channel, summed by one BLAS product in float32;
+        # the error is measured against the largest channel's sum of |x|.
+        x = Rng(41).normal((50, 384, 32), mean=2.0, std=3.0).astype(np.float32)
+        exact = x.astype(np.float64).sum(axis=(0, 1))
+        scale = np.abs(x.astype(np.float64)).sum(axis=(0, 1)).max()
+        assert _channel_sum(x).dtype == np.float32
+        assert np.abs(_channel_sum(x) - exact).max() <= 4e-6 * scale
+
+    def test_eval_scale_and_shift_match_batchnorm_eval(self):
+        data = generate_synthetic(2, 10, 4)
+        p = perturbed_params(5)
+        p.bn_run_mean = np.linspace(-0.3, 0.4, 32)
+        p.bn_run_var = np.linspace(0.2, 3.0, 32)
+        _, trace = model_forward(data.data[:, None, :].astype(np.float64), p, "eval")
+        want = batchnorm_eval(trace.conv_out, p.bn_gamma, p.bn_beta, p.bn_run_mean,
+                              p.bn_run_var)
+        assert_close_normwise(trace.bn_out, want)
+
     def test_running_update(self):
         p = init_params(Rng(1))
         mean, var = updated_running_stats(p, np.full(32, 2.0), np.full(32, 4.0))
@@ -162,6 +184,21 @@ class TestElu:
             numeric = (elu(x + h) - elu(x - h)) / (2 * h)
             analytic = _elu_backward(np.ones(1), elu(x), Workspace())
             np.testing.assert_allclose(analytic, numeric, atol=1e-8)
+
+
+class TestLayerBits:
+    """ELU and pooling keep the values of their earlier formulas, in both
+    compute dtypes (the sign of a zero ELU output may differ)."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_elu_and_pool_match_the_earlier_formulas(self, dtype):
+        x = Rng(43).normal((6, 64, 5), std=4.0).astype(dtype)
+        x[0, :8] = 0.0
+        x[1, :8] = -1e-30
+        old_elu = np.expm1(np.minimum(x, 0.0)) + np.maximum(x, 0.0)
+        np.testing.assert_array_equal(_elu(x, np.empty_like(x)), old_elu)
+        old_pool = x.reshape(6, 64 // POOL, POOL, 5).mean(axis=2)
+        np.testing.assert_array_equal(_avgpool(x, POOL, np.empty_like(old_pool)), old_pool)
 
 
 def reference_elu_backward(dout, x):
@@ -214,10 +251,12 @@ class TestBackwardMatchesReference:
             x, gamma, dout, beta = self.inputs(seed)
             # the production helpers take channels-last [B, n, K]
             x_cl, dout_cl = x.transpose(0, 2, 1), dout.transpose(0, 2, 1)
-            _, mean, var = _batchnorm_train(x_cl, gamma, beta, Workspace())
+            _, xhat_cl, mean, var = _batchnorm_train(x_cl, gamma, beta, Workspace())
             inv_std = 1.0 / np.sqrt(var + BN_EPS)
             xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
-            dx, dgamma, dbeta = _batchnorm_backward(dout_cl, x_cl, mean, var, gamma, Workspace())
+            # dx is built in the buffer of its dout argument, so pass a copy
+            dx, dgamma, dbeta = _batchnorm_backward(dout_cl.copy(), xhat_cl, var, gamma,
+                                                    Workspace())
             got = (dx.transpose(0, 2, 1), dgamma, dbeta)
             want = reference_batchnorm_backward(dout, xhat, inv_std, gamma)
             for g, w in zip(got, want):
@@ -287,15 +326,15 @@ class TestChannelsLastLayout:
         rows = Rng(3).permutation(len(data))[:50]
         return data.data[rows, None, :].astype(np.float64), data.labels[rows].astype(np.int64)
 
-    def test_gradients_match_reference_layout_bit_for_bit(self):
+    def test_gradients_match_reference_layout(self):
         x, y = self.batch50()
         p = perturbed_params(7)
         loss, grads, _ = model_gradients(x, y, p)
         ref_loss, ref = reference_model_gradients(x, y, p)
-        assert loss == ref_loss
+        assert abs(loss - ref_loss) <= 1e-12 * ref_loss
         assert grads.keys() == ref.keys()
         for name in grads:
-            np.testing.assert_array_equal(grads[name], ref[name], err_msg=name)
+            assert_close_normwise(grads[name], ref[name])
 
     def test_public_layers_reproduce_the_trace(self):
         # The calls the traced benchmark suite makes on trace fields.
@@ -333,8 +372,8 @@ class TestComputeDtype:
         p = init_params(rng, *REDUCED)
         _, grads, trace = model_gradients(x, y, p)
         arrays = {name: getattr(trace, name) for name in (
-            "conv_windows", "conv_out", "bn_out", "bn_mean", "bn_var", "elu_out", "pool_out",
-            "hidden")}
+            "conv_windows", "conv_out", "bn_xhat", "bn_out", "bn_mean", "bn_var", "elu_out",
+            "pool_out", "hidden")}
         arrays.update((f"lstm_cache.{name}", getattr(trace.lstm_cache, name))
                       for name in ("xs", "gates", "c", "tanh_c", "h"))
         for name, array in {**arrays, **grads}.items():
