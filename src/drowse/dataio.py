@@ -7,9 +7,11 @@ class balancing, binary file formats for both stages, and a synthetic
 generator with known spectral class signatures for desk-scale testing.
 An event's verdict is an int code, ALERT (0), DROWSY (1) or EXCLUDED (-1),
 held in one array per session; a kept event's code is its sample's label.
-SampleSet is the one sample container from extraction to file: windows
-are resampled straight into its rows, and EegSample is only the one-row
-view that indexing a SampleSet returns.
+The resampler is one product of every 125th input window with a fixed
+[L, 32] block-filter matrix, over [..., n] rows, so a session's kept
+windows are cut with one index and resampled in one call. SampleSet is
+the one sample container from extraction to file, and EegSample is only
+the one-row view that indexing a SampleSet returns.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .binio import FormatError, check_version, expect_magic, read_exact, read_u32, read_u64
 from .numerics import Rng
@@ -67,7 +70,7 @@ class EegSample:
     samples: np.ndarray  # float32
 
 
-@dataclass
+@dataclass(eq=False)
 class SampleSet:
     """The one sample container, from extraction to file.
 
@@ -103,15 +106,6 @@ class SampleSet:
 
     def __getitem__(self, i: int) -> EegSample:
         return EegSample(int(self.subjects[i]), int(self.labels[i]), self.data[i].copy())
-
-    def __eq__(self, other):
-        if not isinstance(other, SampleSet):
-            return NotImplemented
-        return (
-            np.array_equal(self.data, other.data)
-            and np.array_equal(self.labels, other.labels)
-            and np.array_equal(self.subjects, other.subjects)
-        )
 
     def subject_ids(self) -> list:
         """Sorted distinct subject ids, by a set: the first np.unique call
@@ -235,51 +229,55 @@ def label_session(session: SessionRecord) -> SessionLabels:
 # -- resampling ---------------------------------------------------------------
 
 @cache
-def _filter_branches() -> list:
-    """Polyphase decomposition of the windowed-sinc low-pass.
+def _block_filter() -> tuple:
+    """The windowed-sinc low-pass as one [L, 32] block matrix, and its offset.
 
-    Branch p holds taps p, p+32, p+64, ...; each branch is normalized to
-    unit sum so the DC gain is exactly 1 (this also absorbs the factor 32
-    that compensates zero-stuffing).
+    Branch p holds taps p, p+32, p+64, ..., normalized to unit sum so the
+    DC gain is exactly 1 (this also absorbs the factor 32 that compensates
+    zero-stuffing). Output 32 b + r is the L inputs from 125 b + offset on
+    times column r, its branch reversed at its input position: the plan
+    repeats every 32 outputs, 125 inputs later (Crochiere & Rabiner 1981).
     """
     k = np.arange(RESAMPLE_TAPS, dtype=np.float64)
     center = (RESAMPLE_TAPS - 1) // 2
     # normalized cutoff at the virtual 16 kHz rate
     cut = 2.0 * RESAMPLE_CUTOFF_HZ / (SESSION_RATE_HZ * RESAMPLE_UP)
     taps = cut * np.sinc(cut * (k - center)) * np.kaiser(RESAMPLE_TAPS, _KAISER_BETA)
-    branches = [taps[p::RESAMPLE_UP] for p in range(RESAMPLE_UP)]
-    return [b / b.sum() for b in branches]
+    span = -(-RESAMPLE_TAPS // RESAMPLE_UP)
+    # row p is taps[p::32], zero-padded to the span
+    branches = np.pad(taps, (0, span * RESAMPLE_UP - taps.size)).reshape(span, -1).T.copy()
+    branches /= branches.sum(axis=1, keepdims=True)
+    s = RESAMPLE_DOWN * np.arange(RESAMPLE_UP) + center  # group delay compensated
+    first = s // RESAMPLE_UP  # input of each output's tap 0, from its block start
+    offset = first.min() - (span - 1)
+    rows = first - np.arange(span)[:, None] - offset
+    block = np.zeros((first.max() - offset + 1, RESAMPLE_UP))
+    block[rows, np.arange(RESAMPLE_UP)] = branches[s % RESAMPLE_UP].T
+    return block, offset
 
 
 def resample_500_to_128(x: np.ndarray) -> np.ndarray:
-    """Rational 32/125 resampling with a Kaiser windowed-sinc anti-alias filter.
+    """Rational 32/125 resampling of [..., n] rows with a Kaiser
+    windowed-sinc anti-alias filter, to [..., round(n * 32 / 125)].
 
     Output sample n estimates the signal at t = n/128 s (group delay is
     compensated exactly).  Edges are handled by replicating the first/last
     input value, so a constant signal stays constant over the full output.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("input must be one-dimensional")
+    n = x.shape[-1]
     span = -(-RESAMPLE_TAPS // RESAMPLE_UP)
-    if x.size < span:
+    if n < span:
         raise ValueError(f"input shorter than the filter span ({span} points)")
-    branches = _filter_branches()
-    n_out = int(round(x.size * RESAMPLE_UP / RESAMPLE_DOWN))
-    delay = (RESAMPLE_TAPS - 1) // 2
-
-    pad = span
-    xpad = np.concatenate([np.full(pad, x[0]), x, np.full(pad, x[-1])])
-    out = np.empty(n_out)
-    s = RESAMPLE_DOWN * np.arange(n_out) + delay
-    phases = s % RESAMPLE_UP
-    starts = s // RESAMPLE_UP + pad
-    for p in range(RESAMPLE_UP):
-        sel = np.flatnonzero(phases == p)
-        b = branches[p]
-        idx = starts[sel][:, None] - np.arange(b.size)[None, :]
-        out[sel] = xpad[idx] @ b
-    return out
+    block, offset = _block_filter()
+    n_out = int(round(n * RESAMPLE_UP / RESAMPLE_DOWN))
+    n_blocks = -(-n_out // RESAMPLE_UP)
+    right = RESAMPLE_DOWN * (n_blocks - 1) + block.shape[0] + offset - n
+    xpad = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(-offset, right)], mode="edge")
+    # Every 125th length-L window, as a view; matmul makes one product per
+    # row, so each row gets the same bits alone as in any batch.
+    out = sliding_window_view(xpad, block.shape[0], axis=-1)[..., ::RESAMPLE_DOWN, :] @ block
+    return out.reshape(*x.shape[:-1], n_blocks * RESAMPLE_UP)[..., :n_out]
 
 
 # -- balancing ----------------------------------------------------------------
@@ -301,9 +299,10 @@ class SessionSamples:
 
 def session_samples(session: SessionRecord, labels: SessionLabels, subject_id: int,
                     session_id: int) -> SessionSamples:
-    """Cut the 3 s window preceding each non-excluded event, resample it
-    into one row of the session's SampleSet labeled with the event's
-    verdict code, and keep the event's local RT for balancing.
+    """Cut the 3 s windows preceding the non-excluded events with one
+    index and resample them in one call into the rows of the session's
+    SampleSet, each labeled with its event's verdict code, and keep each
+    event's local RT for balancing.
 
     Events starting less than 3 s into the recording are skipped.
     """
@@ -314,10 +313,9 @@ def session_samples(session: SessionRecord, labels: SessionLabels, subject_id: i
     window = 3 * SESSION_RATE_HZ
     ends = np.round(session.events[:, 0] * session.rate).astype(np.int64)
     kept = (labels.verdict != EXCLUDED) & (ends >= window)
-    data = np.empty((np.count_nonzero(kept), SAMPLE_POINTS), dtype=np.float32)
-    for row, end in zip(data, ends[kept]):
-        row[:] = resample_500_to_128(session.signal[end - window : end])
-    samples = SampleSet(data, labels.verdict[kept], np.full(len(data), subject_id))
+    cuts = session.signal[ends[kept, None] + np.arange(-window, 0)]
+    samples = SampleSet(resample_500_to_128(cuts), labels.verdict[kept],
+                        np.full(np.count_nonzero(kept), subject_id))
     return SessionSamples(subject_id, session_id, samples, labels.local_rt_s[kept])
 
 

@@ -436,7 +436,7 @@ class ForwardTrace:
 
     conv_windows: np.ndarray  # [B, n, L]
     conv_out: np.ndarray  # [B, K, n], a view of the channels-last buffer
-    bn_xhat: np.ndarray | None  # [B, K, n] view, standardized conv_out (train mode only)
+    bn_xhat: np.ndarray | None  # [B, n, K] channels-last, standardized conv_out (train only)
     bn_out: np.ndarray  # [B, K, n] view
     bn_mean: np.ndarray | None  # batch statistics (train mode only)
     bn_var: np.ndarray | None
@@ -475,7 +475,6 @@ def model_forward(
     shape = conv_out.shape
     if mode == "train":
         bn_out, xhat, mean, var = _batchnorm_train(conv_out, params.bn_gamma, params.bn_beta, ws)
-        xhat = xhat.transpose(0, 2, 1)
     else:
         bn_out = _batchnorm_running(conv_out, params, ws.take("bn", shape, dtype))
         xhat = mean = var = None
@@ -549,7 +548,7 @@ def model_gradients(
     dbn_out = _elu_backward((dxs / POOL)[:, :, None, :],
                             pooled_windows, ws).reshape(elu_out.shape)
     dconv, dgamma, dbeta = _batchnorm_backward(
-        dbn_out, trace.bn_xhat.transpose(0, 2, 1), trace.bn_var, params.bn_gamma, ws)
+        dbn_out, trace.bn_xhat, trace.bn_var, params.bn_gamma, ws)
     grads: dict[str, np.ndarray] = {
         "conv_w": _conv_backward(dconv, trace.conv_windows),
         "bn_gamma": dgamma,

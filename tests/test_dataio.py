@@ -1,3 +1,5 @@
+from functools import cache
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,11 @@ from drowse.dataio import (
     ALERT,
     DROWSY,
     EXCLUDED,
+    RESAMPLE_CUTOFF_HZ,
+    RESAMPLE_DOWN,
+    RESAMPLE_TAPS,
+    RESAMPLE_UP,
+    SESSION_RATE_HZ,
     SampleSet,
     SessionRecord,
     SessionSamples,
@@ -18,6 +25,7 @@ from drowse.dataio import (
     session_samples,
     write_sampleset,
     write_session,
+    _KAISER_BETA,
     _percentile,
     _verdicts,
 )
@@ -167,6 +175,50 @@ class TestLabelSession:
                          [-0.1] + [0.5] * 19)
 
 
+@cache
+def _filter_branches() -> list:
+    """Polyphase decomposition of the windowed-sinc low-pass.
+
+    Branch p holds taps p, p+32, p+64, ...; each branch is normalized to
+    unit sum so the DC gain is exactly 1 (this also absorbs the factor 32
+    that compensates zero-stuffing).
+    """
+    k = np.arange(RESAMPLE_TAPS, dtype=np.float64)
+    center = (RESAMPLE_TAPS - 1) // 2
+    # normalized cutoff at the virtual 16 kHz rate
+    cut = 2.0 * RESAMPLE_CUTOFF_HZ / (SESSION_RATE_HZ * RESAMPLE_UP)
+    taps = cut * np.sinc(cut * (k - center)) * np.kaiser(RESAMPLE_TAPS, _KAISER_BETA)
+    branches = [taps[p::RESAMPLE_UP] for p in range(RESAMPLE_UP)]
+    return [b / b.sum() for b in branches]
+
+
+def reference_resample(x: np.ndarray) -> np.ndarray:
+    """The per-phase polyphase resampler, one output phase at a time: the
+    oracle for the block-matrix resample_500_to_128."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError("input must be one-dimensional")
+    span = -(-RESAMPLE_TAPS // RESAMPLE_UP)
+    if x.size < span:
+        raise ValueError(f"input shorter than the filter span ({span} points)")
+    branches = _filter_branches()
+    n_out = int(round(x.size * RESAMPLE_UP / RESAMPLE_DOWN))
+    delay = (RESAMPLE_TAPS - 1) // 2
+
+    pad = span
+    xpad = np.concatenate([np.full(pad, x[0]), x, np.full(pad, x[-1])])
+    out = np.empty(n_out)
+    s = RESAMPLE_DOWN * np.arange(n_out) + delay
+    phases = s % RESAMPLE_UP
+    starts = s // RESAMPLE_UP + pad
+    for p in range(RESAMPLE_UP):
+        sel = np.flatnonzero(phases == p)
+        b = branches[p]
+        idx = starts[sel][:, None] - np.arange(b.size)[None, :]
+        out[sel] = xpad[idx] @ b
+    return out
+
+
 class TestResample:
     def test_constant_passes_exactly(self):
         y = resample_500_to_128(np.full(1500, 3.25))
@@ -209,6 +261,31 @@ class TestResample:
     def test_too_short(self):
         with pytest.raises(ValueError, match="filter span"):
             resample_500_to_128(np.zeros(312))
+
+    @pytest.mark.parametrize("n", [313, 625, 1000, 1500, 5000, 12345])
+    def test_matches_the_per_phase_reference(self, n):
+        t = np.arange(n) / 500.0
+        signals = {"random": Rng(n).normal((n,), std=30.0),
+                   "tone": 40.0 * np.sin(2 * np.pi * 10.0 * t + 0.3),
+                   "ramp": 5.0 + 2.0 * t}
+        for name, x in signals.items():
+            y = resample_500_to_128(x)
+            expected = reference_resample(x)
+            assert y.shape == expected.shape, name
+            assert np.abs(y - expected).max() <= 1e-12 * np.abs(x).max(), name
+
+    # 700 points give 179 outputs: the last 32-output block is trimmed
+    @pytest.mark.parametrize("n, n_out", [(1500, 384), (700, 179)])
+    def test_batched_rows_have_the_bits_of_single_rows(self, n, n_out):
+        rows = Rng(n).normal((12, n), std=25.0)
+        singles = np.stack([resample_500_to_128(row) for row in rows])
+        assert singles.shape == (12, n_out)
+        np.testing.assert_array_equal(resample_500_to_128(rows), singles)
+        np.testing.assert_array_equal(resample_500_to_128(rows[:5]), singles[:5])
+        cube = resample_500_to_128(rows.reshape(3, 4, n))
+        assert cube.shape == (3, 4, n_out)
+        np.testing.assert_array_equal(cube.reshape(12, n_out), singles)
+        assert resample_500_to_128(np.zeros((0, n))).shape == (0, n_out)
 
 
 class TestExtractWindows:
@@ -376,7 +453,10 @@ class TestSampleSetIO:
         for _ in range(100):
             original = self.random_set(rng, 1 + int(rng.uniform(high=6)))
             write_sampleset(original, path)
-            assert read_sampleset(path) == original
+            back = read_sampleset(path)
+            for name in ("data", "labels", "subjects"):
+                a, b = getattr(back, name), getattr(original, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.eegd"
@@ -435,7 +515,9 @@ class TestSessionIO:
 
 class TestSynthetic:
     def test_deterministic(self):
-        assert generate_synthetic(3, 12, 9) == generate_synthetic(3, 12, 9)
+        a, b = generate_synthetic(3, 12, 9), generate_synthetic(3, 12, 9)
+        for name in ("data", "labels", "subjects"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_counts(self):
         s = generate_synthetic(4, 15, 2)

@@ -389,14 +389,15 @@ BLAS_CHILD = """
 import sys
 import numpy as np
 from drowse import network
-from drowse.dataio import generate_synthetic
+from drowse.dataio import generate_synthetic, resample_500_to_128
 from drowse.numerics import Rng
 data = generate_synthetic(4, 30, 1)
 x = data.data[:, None, :].astype(np.float64)
 params = network.init_params(Rng(7))
 loss, grads, _ = network.model_gradients(x[:50], data.labels[:50].astype(np.int64), params)
 probs, _ = network.model_forward(x, params, "eval")
-parts = [np.float64(loss)] + [grads[name] for name in sorted(grads)] + [probs]
+resampled = resample_500_to_128(Rng(3).normal((40, 1500), std=20.0))
+parts = [np.float64(loss)] + [grads[name] for name in sorted(grads)] + [probs, resampled]
 sys.stdout.buffer.write(b"".join(part.tobytes() for part in parts))
 """
 
