@@ -132,6 +132,8 @@ def cmd_train(args) -> int:
     model_dir = os.path.dirname(args.model) or "."
     if not (os.path.isdir(model_dir) and os.access(model_dir, os.W_OK)):
         raise OSError(f"{args.model}: directory {model_dir} is missing or not writable")
+    if os.path.isdir(args.model):
+        raise IsADirectoryError(f"{args.model} is a directory")
     data = dataio.read_sampleset(args.data)
     base = Rng(config.seed)
     params = network.init_params(base.split("init"))

@@ -592,8 +592,9 @@ def save_params(params: ModelParams, path) -> None:
 def load_params(path, kernels: int = 32, kernel_len: int = 64) -> ModelParams:
     """Read a model file back; raises FormatError on bad magic or version,
     unknown, duplicate or missing tensor names, shape mismatches,
-    non-finite values, or truncation. A non-zero conv.b, from a model that
-    trained one, is folded into bn.run_mean: (conv + b) - mean = conv - (mean - b)."""
+    non-finite values, truncation or trailing bytes. A non-zero conv.b,
+    from a model that trained one, is folded into bn.run_mean:
+    (conv + b) - mean = conv - (mean - b)."""
     known = {name.encode("ascii"): (name, attr, block)
              for name, (attr, block) in _TENSOR_ATTRS.items()}
     d = N_CLASSES
@@ -630,6 +631,8 @@ def load_params(path, kernels: int = 32, kernel_len: int = 64) -> ModelParams:
                 raise FormatError(f"duplicate tensor {name!r}")
             seen.add(name)
             target[...] = arr
+        if fh.read(1):
+            raise FormatError("trailing bytes after the last tensor")
     missing = [name for name in _TENSOR_ATTRS if name not in seen]
     if missing:
         raise FormatError(f"missing tensors: {', '.join(missing)}")

@@ -10,25 +10,27 @@ count never changes the report.
 At threads > 1 the folds run in a pool of worker processes started with
 the spawn method: each worker is a fresh interpreter, never a fork of a
 parent whose BLAS threads already exist, and it inherits the parent's
-environment, so one BLAS thread (see the package docstring). The pool
-initializer hands each worker the TrainConfig and the path of a temporary
-.eegd copy of the dataset, which the worker reads once; a job is only its
-(subject, repeat) pair. The samples stay out of the pipe through which
-the parent sends a spawned worker its start-up state: the parent holds
-that pipe's read end until its write returns, so a write larger than the
-pipe buffer to a worker that died while bootstrapping (as one importing
-an unguarded script does) would block for good. A worker that dies breaks
-the pool instead, and run_loso raises that as ChildProcessError. At
-threads == 1 the folds run in the calling process. train and evaluate
-compute every step and chunk into the calling thread's workspace
-(numerics.thread_workspace), so a process running folds, the caller or a
-worker, maps its buffers once rather than once per step or fold.
+environment, so one BLAS thread (see the package docstring). The pool has
+no initializer and its workers keep no state: a job is the path of a
+temporary .eegd copy of the dataset, the TrainConfig and one (subject,
+repeat) pair, and it reads the samples from that file, where a serial
+fold takes them as an argument. So a fold depends only on the data, the
+config and its pair, and the samples stay out of every pipe to a worker:
+a write larger than the pipe buffer to a worker that died while starting
+(as one importing an unguarded script does) would block for good. A
+worker that dies breaks the pool, and run_loso raises that as
+ChildProcessError. At threads == 1 the folds run in the calling process.
+train and evaluate compute every step and chunk into the calling thread's
+workspace (numerics.thread_workspace), so a process running folds, the
+caller or a worker, maps its buffers once rather than once per step or
+fold.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import ClassVar
 
 import numpy as np
@@ -182,10 +184,6 @@ class CvReport:
     def sd_curve(self) -> np.ndarray:
         return self.per_subject_curve().std(axis=0, ddof=1)
 
-    def subject_accuracies(self, epoch: int) -> np.ndarray:
-        """Per-subject mean accuracy at a 1-based epoch."""
-        return self.per_subject_curve()[:, epoch - 1]
-
 
 def _fold_job(data, config, subject, repeat):
     train_set, test_set = loso_split(data, subject)
@@ -200,17 +198,8 @@ def _fold_job(data, config, subject, repeat):
     return int(subject), int(repeat), accs
 
 
-# A pool worker's (data, config), set once when it starts.
-_worker_inputs = None
-
-
-def _start_worker(data_path, config):
-    global _worker_inputs
-    _worker_inputs = (read_sampleset(data_path), config)
-
-
-def _worker_fold_job(job):
-    return _fold_job(*_worker_inputs, *job)
+def _fold_job_from_file(data_path, config, subject_repeat):
+    return _fold_job(read_sampleset(data_path), config, *subject_repeat)
 
 
 def run_loso(data, config: TrainConfig, threads: int = 1) -> CvReport:
@@ -245,10 +234,9 @@ def run_loso(data, config: TrainConfig, threads: int = 1) -> CvReport:
             write_sampleset(data, data_path)
             try:
                 with ProcessPoolExecutor(max_workers=min(threads, len(jobs)),
-                                         mp_context=multiprocessing.get_context("spawn"),
-                                         initializer=_start_worker,
-                                         initargs=(data_path, config)) as pool:
-                    results = list(pool.map(_worker_fold_job, jobs))
+                                         mp_context=multiprocessing.get_context("spawn")) as pool:
+                    results = list(pool.map(partial(_fold_job_from_file, data_path, config),
+                                            jobs))
             except BrokenProcessPool as exc:
                 raise ChildProcessError(f"a LOSO worker process died: {exc}") from exc
     else:

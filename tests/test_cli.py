@@ -294,21 +294,39 @@ class TestLoso:
 
 
     def test_dead_worker_is_runtime_error(self, synth_file, tmp_path, capsys, monkeypatch):
-        # Workers read their data from the file run_loso writes; junk there
-        # fails every worker's start-up, which breaks the pool.
+        # Spawned workers unpickle a job's function by name, so each one
+        # runs _exit_worker, and a worker that exits breaks the pool.
         from drowse import training
 
-        monkeypatch.setattr(training, "write_sampleset",
-                            lambda _data, path: Path(path).write_bytes(b"junk"))
+        monkeypatch.setattr(training, "_fold_job_from_file", _exit_worker)
         code = run("loso", "--data", synth_file, "--out", str(tmp_path / "rep"),
                    "--epochs", "1", "--repeats", "1", "--threads", "2")
         assert code == 2
         assert capsys.readouterr().err.startswith("error: a LOSO worker process died")
 
+    def test_pool_removes_its_data_copy(self, synth_file, tmp_path, capsys, monkeypatch):
+        import tempfile
 
-@pytest.mark.parametrize("command", ["train", "loso"])
+        from drowse import training
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        argv = ["loso", "--data", synth_file, "--out", str(tmp_path / "rep"),
+                "--epochs", "1", "--repeats", "1", "--threads", "2"]
+        assert run(*argv) == 0
+        assert not list(tmp_path.glob("drowse-loso-*"))
+        monkeypatch.setattr(training, "_fold_job_from_file", _exit_worker)
+        assert run(*argv) == 2
+        assert "a LOSO worker process died" in capsys.readouterr().err
+        assert not list(tmp_path.glob("drowse-loso-*"))
+
+
+def _exit_worker(*_args):
+    os._exit(3)
+
+
+@pytest.mark.parametrize("case", ["train", "train-to-directory", "loso"])
 def test_unusable_output_refused_before_training(synth_file, tmp_path, capsys, monkeypatch,
-                                                  command):
+                                                  case):
     from drowse import training
 
     def no_training(*_args, **_kwargs):
@@ -318,9 +336,10 @@ def test_unusable_output_refused_before_training(synth_file, tmp_path, capsys, m
     monkeypatch.setattr(training, "run_loso", no_training)
     taken = tmp_path / "taken"
     taken.write_text("")
-    output = {"train": ["--model", str(tmp_path / "missing" / "m.eglm")],
-              "loso": ["--out", str(taken)]}[command]
-    code = run(command, "--data", synth_file, *output, "--epochs", "1")
+    command = {"train": ["train", "--model", str(tmp_path / "missing" / "m.eglm")],
+               "train-to-directory": ["train", "--model", str(tmp_path)],
+               "loso": ["loso", "--out", str(taken)]}[case]
+    code = run(*command, "--data", synth_file, "--epochs", "1")
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
 

@@ -1,9 +1,10 @@
 """Every binary reader answers truncated or corrupt input with FormatError.
 
 Small valid `.eegs`, `.eegd` and `.eglm` files are cut at every byte
-offset and have random bytes flipped. A reader may return a value or raise
-FormatError, and nothing else: no MemoryError, OverflowError,
-UnicodeDecodeError, IndexError, struct.error or plain ValueError.
+offset, get one byte appended and have random bytes flipped. A reader may
+return a value or raise FormatError, and nothing else: no MemoryError,
+OverflowError, UnicodeDecodeError, IndexError, struct.error or plain
+ValueError.
 """
 
 import struct
@@ -67,6 +68,14 @@ def test_every_truncation_is_a_format_error(kind, valid):
         path.write_bytes(raw[:cut])
         with pytest.raises(FormatError):
             READERS[kind](path)
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_trailing_byte_is_a_format_error(kind, valid):
+    raw, path = valid[kind]
+    path.write_bytes(raw + b"\0")
+    with pytest.raises(FormatError, match="trailing"):
+        READERS[kind](path)
 
 
 flips = st.lists(st.tuples(st.integers(0, 2**31), st.integers(1, 255)), min_size=1, max_size=8)

@@ -245,7 +245,7 @@ class TestLoso:
         ]))
         np.testing.assert_allclose(report.mean_curve(), [0.7, 0.8])
         np.testing.assert_allclose(report.sd_curve(), np.std([0.5, 0.7, 0.9], ddof=1))
-        np.testing.assert_allclose(report.subject_accuracies(2), [0.6, 0.8, 1.0])
+        np.testing.assert_allclose(report.per_subject_curve()[:, 1], [0.6, 0.8, 1.0])
 
     def test_single_subject_rejected(self):
         data = toy_set([0, 1] * 6)
