@@ -69,6 +69,16 @@ def _ids_from_filename(path) -> tuple:
     return subject_id, session_id
 
 
+def _check_output(path) -> None:
+    """Refuse an output path before any work: its directory must exist and
+    be writable, and the path must not be a directory."""
+    directory = os.path.dirname(path) or "."
+    if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+        raise OSError(f"{path}: directory {directory} is missing or not writable")
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"{path} is a directory")
+
+
 def _print_counts(data) -> None:
     print(f"{'subject':>7}  {'alert':>6}  {'drowsy':>6}")
     total_alert = total_drowsy = 0
@@ -81,6 +91,7 @@ def _print_counts(data) -> None:
 
 
 def cmd_prepare(args) -> int:
+    _check_output(args.out)
     kept = []
     for path in args.sessions:
         subject_id, session_id = _ids_from_filename(path)
@@ -105,6 +116,7 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    _check_output(args.out)
     try:
         data = dataio.generate_synthetic(args.subjects, args.per_class, args.seed)
     except ValueError as exc:  # only its size checks raise
@@ -129,11 +141,7 @@ def cmd_train(args) -> int:
     from . import network, training
 
     config = _train_config(args)
-    model_dir = os.path.dirname(args.model) or "."
-    if not (os.path.isdir(model_dir) and os.access(model_dir, os.W_OK)):
-        raise OSError(f"{args.model}: directory {model_dir} is missing or not writable")
-    if os.path.isdir(args.model):
-        raise IsADirectoryError(f"{args.model} is a directory")
+    _check_output(args.model)
     data = dataio.read_sampleset(args.data)
     base = Rng(config.seed)
     params = network.init_params(base.split("init"))
@@ -171,13 +179,16 @@ def cmd_loso(args) -> int:
 def cmd_explain(args) -> int:
     from . import interpret, network
 
+    svg_path = os.path.splitext(args.out)[0] + ".svg" if args.svg else None
+    _check_output(args.out)
+    if svg_path:
+        _check_output(svg_path)
     data = dataio.read_sampleset(args.data)
     params = network.load_params(args.model)
     if not 0 <= args.sample < len(data):
         raise UsageError(f"sample index {args.sample} out of range [0, {len(data)})")
     sample = data[args.sample]
     pair = interpret.explain_sample(sample, params)
-    svg_path = os.path.splitext(args.out)[0] + ".svg" if args.svg else None
     interpret.emit_heatmap(pair, sample, args.out, svg_path)
     print(f"sample {args.sample} (subject {sample.subject_id}, label {sample.label}): "
           f"p_alert {pair.likelihoods[0]:.4f}  p_drowsy {pair.likelihoods[1]:.4f}")
@@ -198,6 +209,7 @@ def _write_baseline_csv(subject_ids, accuracies, path) -> None:
 
 
 def cmd_baseline(args) -> int:
+    _check_output(args.out)
     data = dataio.read_sampleset(args.data)
     dataio.loso_subject_ids(data.subjects)  # before any feature is computed
     kind = FEATURE_KINDS[args.features]

@@ -342,7 +342,7 @@ def avgpool(x: np.ndarray, pool: int) -> np.ndarray:
 class LstmCache:
     xs: np.ndarray  # [B, T, K]
     gates: np.ndarray  # [T, B, 4D] gate activations, blocks i, f, g, o
-    c: np.ndarray  # cell states c_1..c_T
+    c: np.ndarray  # [T+1, B, D], c[0] = 0
     tanh_c: np.ndarray
     h: np.ndarray  # [T+1, B, D], h[0] = 0
 
@@ -371,10 +371,9 @@ def lstm_forward(xs: np.ndarray, params: ModelParams) -> tuple[np.ndarray, LstmC
 
     gates = np.empty((steps, batch, 4 * d), dtype)
     gates[...] = proj.reshape(batch, steps, 4 * d).transpose(1, 0, 2)
-    c_seq = np.empty((steps, batch, d), dtype)
+    c_seq = np.zeros((steps + 1, batch, d), dtype)
     tanh_c = np.empty((steps, batch, d), dtype)
     h_seq = np.zeros((steps + 1, batch, d), dtype)
-    c_prev = np.zeros((batch, d), dtype)
     recurrent = np.empty((batch, 4 * d), dtype)
     i_g = np.empty((batch, d), dtype)
     for t in range(steps):
@@ -383,11 +382,10 @@ def lstm_forward(xs: np.ndarray, params: ModelParams) -> tuple[np.ndarray, LstmC
         np.tanh(a, out=a)
         a *= half
         a += shift
-        c = np.multiply(a[:, d:2 * d], c_prev, out=c_seq[t])
+        c = np.multiply(a[:, d:2 * d], c_seq[t], out=c_seq[t + 1])
         c += np.multiply(a[:, :d], a[:, 2 * d:3 * d], out=i_g)
         np.tanh(c, out=tanh_c[t])
         np.multiply(a[:, 3 * d:], tanh_c[t], out=h_seq[t + 1])
-        c_prev = c
     cache = LstmCache(xs=xs, gates=gates, c=c_seq, tanh_c=tanh_c, h=h_seq)
     return h_seq[1:], cache
 
@@ -401,13 +399,11 @@ def _lstm_backward(dh_last: np.ndarray, cache: LstmCache, params: ModelParams):
     batch, steps, k = xs.shape
     d = dh_last.shape[1]
     i, f, g, o = np.split(cache.gates, 4, axis=2)  # [T, B, D] each
-    c_prev = np.zeros_like(cache.c)
-    c_prev[1:] = cache.c[:-1]
     # Gradient of each gate's pre-activation per unit of the cell gradient
     # (blocks i, f, g) or of the hidden-state gradient (block o).
     local = np.empty((steps, batch, 4, d), xs.dtype)
     local[:, :, 0] = g * i * (1.0 - i)
-    local[:, :, 1] = c_prev * f * (1.0 - f)
+    local[:, :, 1] = cache.c[:-1] * f * (1.0 - f)
     local[:, :, 2] = i * (1.0 - g * g)
     local[:, :, 3] = cache.tanh_c * o * (1.0 - o)
     dh_dc = o * (1.0 - cache.tanh_c * cache.tanh_c)
@@ -532,8 +528,6 @@ def model_gradients(
     params = params.astype(_compute_dtype(np.asarray(batch)))
     probs, trace = model_forward(batch, params, "train", ws)
     loss = cross_entropy(probs, labels)
-    if not np.isfinite(loss):
-        raise ValueError("non-finite training loss")
 
     b = probs.shape[0]
     onehot = np.zeros_like(probs)

@@ -3,8 +3,8 @@ t-test, and the per-thread scratch buffers of the network and the entropies.
 
 Everything here but the Workspace is pure and reproducible: the generator
 is counter-based (no platform RNG), so identical seeds give identical
-streams on every platform, and the t-test p-value is computed in-repo via
-the regularized incomplete beta function.
+streams on every platform, and the t-test p-value is computed in-repo as
+the finite Student-t tail sum for integer degrees of freedom.
 """
 
 from __future__ import annotations
@@ -206,55 +206,34 @@ def normalize_mean_std(v: np.ndarray) -> np.ndarray:
     return centered / std
 
 
-def _betacf(a: float, b: float, x: float) -> float:
-    # Continued fraction for the incomplete beta (modified Lentz).
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 300):
-        m2 = 2 * m
-        # one Lentz step for each coefficient of the pair: the even one, then the odd
-        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
-                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
-            d = 1.0 + aa * d
-            if abs(d) < tiny:
-                d = tiny
-            c = 1.0 + aa / c
-            if abs(c) < tiny:
-                c = tiny
-            d = 1.0 / d
-            delta = d * c
-            h *= delta
-        if abs(delta - 1.0) < 1e-12:
-            return h
-    raise RuntimeError("incomplete beta continued fraction did not converge")
-
-
 def student_t_sf2(t: float, df: int) -> float:
-    """Two-tailed tail probability P(|T| >= t) for Student's t.
+    """Two-tailed tail probability P(|T| >= t) for Student's t, integer df.
 
-    This is the regularized incomplete beta I_x(a, b) with a = df/2,
-    b = 1/2 and x = df / (df + t^2), accurate to about 1e-12. The
-    continued fraction converges fast for x below (a + 1) / (a + b + 2);
-    above that, the symmetry I_x(a, b) = 1 - I_{1-x}(b, a) is used.
+    A = P(|T| < t) is the finite sum of Abramowitz & Stegun 26.7.3 (odd df)
+    or 26.7.4 (even df) in theta = atan(|t| / sqrt(df)), and the tail is
+    1 - A, clamped at 0 where A rounds above 1. It is accurate to about
+    1e-12 absolute (3e-13 seen, at df 30000), but as A nears 1 the relative
+    precision falls with p: about 1e-10 for p >= 1e-3, 3e-8 for p >= 1e-6
+    and 1e-5 for p >= 1e-9, and fewer than 3 significant digits are left
+    at p = 1e-12. Raises ValueError unless df is an integer >= 1.
     """
-    if df < 1:
-        raise ValueError("degrees of freedom must be >= 1")
-    t = float(t)
-    x = df / (df + t * t)
-    if x == 0.0 or x == 1.0:  # t infinite, or t * t negligible against df
-        return x
-    a, b = df / 2.0, 0.5
-    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                     + a * math.log(x) + b * math.log1p(-x))
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+    if df != int(df) or df < 1:
+        raise ValueError("degrees of freedom must be an integer >= 1")
+    df = int(df)
+    odd = df % 2
+    t = abs(float(t))
+    theta = math.atan(t / math.sqrt(df))
+    cos2 = df / (df + t * t)  # cos(theta)^2; cos(theta) itself loses digits at large t
+    # 1 + r_1 cos^2 + r_1 r_2 cos^4 + ... to df // 2 terms
+    total, term = 0.0, 1.0
+    for k in range(df // 2):
+        total += term
+        term *= cos2 * (2 * k + 1 + odd) / (2 * k + 2 + odd)
+    if odd:
+        below = (theta + math.sin(theta) * math.sqrt(cos2) * total) * 2.0 / math.pi
+    else:
+        below = math.sin(theta) * total
+    return 0.0 if below > 1.0 else 1.0 - below  # a NaN t stays NaN
 
 
 def paired_t_test(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:

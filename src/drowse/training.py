@@ -4,8 +4,8 @@ Bias-corrected Adam, the seeded epoch loop (batch-norm running statistics
 are folded in after every batch; the loss and its gradients come from
 network.model_gradients), and a leave-one-subject-out harness that records
 per-epoch test accuracy for every (subject, repeat) pair.  Folds are
-embarrassingly parallel; results are keyed by (subject, repeat) so thread
-count never changes the report.
+embarrassingly parallel; each returns only its accuracy curve, and the
+curves come back in job order, so thread count never changes the report.
 
 At threads > 1 the folds run in a pool of worker processes started with
 the spawn method: each worker is a fresh interpreter, never a fork of a
@@ -195,7 +195,7 @@ def _fold_job(data, config, subject, repeat):
         accs.append(evaluate(current, test_set))
 
     train(params, train_set, config, rng, on_epoch=record)
-    return int(subject), int(repeat), accs
+    return accs
 
 
 def _fold_job_from_file(data_path, config, subject_repeat):
@@ -242,10 +242,8 @@ def run_loso(data, config: TrainConfig, threads: int = 1) -> CvReport:
     else:
         results = [_fold_job(data, config, *job) for job in jobs]
 
-    accuracies = np.zeros((len(subjects), config.repeats, config.max_epochs))
-    row = {subject: i for i, subject in enumerate(subjects)}
-    for subject, repeat, accs in results:
-        accuracies[row[subject], repeat - 1, :] = accs
+    # map and pool.map both return the curves in job order
+    accuracies = np.array(results).reshape(len(subjects), config.repeats, config.max_epochs)
     return CvReport(subjects, accuracies)
 
 

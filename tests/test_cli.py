@@ -324,24 +324,41 @@ def _exit_worker(*_args):
     os._exit(3)
 
 
-@pytest.mark.parametrize("case", ["train", "train-to-directory", "loso"])
-def test_unusable_output_refused_before_training(synth_file, tmp_path, capsys, monkeypatch,
-                                                  case):
-    from drowse import training
+@pytest.mark.parametrize("case", ["train", "train-to-directory", "loso", "prepare", "synth",
+                                  "baseline", "explain", "explain-svg"])
+def test_unusable_output_refused_before_training(synth_file, model_file, tmp_path, capsys,
+                                                  monkeypatch, case):
+    # Every command that writes a file checks the path before its costly step.
+    from drowse import interpret, training
 
-    def no_training(*_args, **_kwargs):
-        raise AssertionError("trained for an output that cannot be written")
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("worked for an output that cannot be written")
 
-    monkeypatch.setattr(training, "train", no_training)
-    monkeypatch.setattr(training, "run_loso", no_training)
+    for module, name in [(training, "train"), (training, "run_loso"),
+                         (baselines, "feature_matrix"), (dataio, "read_session"),
+                         (dataio, "generate_synthetic"), (interpret, "explain_sample")]:
+        monkeypatch.setattr(module, name, no_work)
     taken = tmp_path / "taken"
     taken.write_text("")
-    command = {"train": ["train", "--model", str(tmp_path / "missing" / "m.eglm")],
-               "train-to-directory": ["train", "--model", str(tmp_path)],
-               "loso": ["loso", "--out", str(taken)]}[case]
-    code = run(*command, "--data", synth_file, "--epochs", "1")
+    missing = tmp_path / "missing"
+    (tmp_path / "heat.svg").mkdir()
+    trained = ["--data", synth_file, "--epochs", "1"]
+    explain = ["explain", "--model", model_file, "--data", synth_file]
+    command = {
+        "train": ["train", "--model", str(missing / "m.eglm"), *trained],
+        "train-to-directory": ["train", "--model", str(tmp_path), *trained],
+        "loso": ["loso", "--out", str(taken), *trained],
+        "prepare": ["prepare", str(tmp_path / "s01_1.eegs"), "--out", str(missing / "p.eegd")],
+        "synth": ["synth", "--out", str(missing / "s.eegd")],
+        "baseline": ["baseline", "--data", synth_file, "--features", "entropies",
+                     "--clf", "lda", "--out", str(missing / "b.csv")],
+        "explain": [*explain, "--out", str(missing / "heat.csv")],
+        "explain-svg": [*explain, "--out", str(tmp_path / "heat.csv"), "--svg"],
+    }[case]
+    code = run(*command)
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "heat.csv").exists()
 
 
 class TestBaseline:

@@ -514,7 +514,7 @@ class TestLstm:
         h, cache = lstm_forward(np.ones((1, 1, 1)), p)
         sig1 = 1.0 / (1.0 + math.exp(-1.0))
         c1 = sig1 * math.tanh(1.0)
-        np.testing.assert_allclose(cache.c[0, 0, 0], c1, atol=1e-15)
+        np.testing.assert_allclose(cache.c[1, 0, 0], c1, atol=1e-15)
         np.testing.assert_allclose(h[0, 0, 0], sig1 * math.tanh(c1), atol=1e-15)
 
     def test_sequence_shapes(self):

@@ -179,6 +179,33 @@ class TestPairedTTest:
     def test_sf_symmetry(self):
         assert student_t_sf2(-2.5, 5) == pytest.approx(student_t_sf2(2.5, 5), abs=1e-15)
 
+    def test_df1_and_df2_closed_forms(self):
+        for t in (0.0, 1e-3, 0.3, 1.0, 2.0, 3.5, 10.0, 100.0, 1e3):
+            assert student_t_sf2(t, 1) == pytest.approx(1.0 - 2.0 / math.pi * math.atan(t),
+                                                        abs=1e-15)
+            assert student_t_sf2(t, 2) == pytest.approx(1.0 - t / math.sqrt(t * t + 2.0),
+                                                        abs=1e-15)
+
+    @pytest.mark.parametrize("df", range(1, 41))
+    def test_every_small_df_matches_oracle(self, df):
+        for t in (0.5, 1.7, 3.0, 6.0):
+            assert student_t_sf2(t, df) == pytest.approx(student_t_p_oracle(t, df), abs=1e-10)
+
+    def test_far_tail_is_never_negative(self):
+        # 1 - A rounds to -2.2e-16 unclamped at e.g. df 9, t 300
+        for df in range(1, 41):
+            for t in (30.0, 100.0, 300.0, 1e3, 1e4):
+                assert student_t_sf2(t, df) >= 0.0
+            assert student_t_sf2(math.inf, df) == 0.0
+
+    def test_nan_t_gives_nan(self):
+        assert math.isnan(student_t_sf2(math.nan, 5))
+
+    @pytest.mark.parametrize("df", [0, 2.5])
+    def test_df_must_be_a_positive_integer(self, df):
+        with pytest.raises(ValueError, match="degrees of freedom"):
+            student_t_sf2(1.0, df)
+
 
 class TestRng:
     def test_equal_seeds_equal_streams(self):
