@@ -129,26 +129,6 @@ def _abs_differences(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.abs(out, out=out)
 
 
-def _lagwise_chebyshev(templates: np.ndarray) -> np.ndarray:
-    """[N, N] Chebyshev distances between the rows of [N, mm] templates.
-
-    Built one lag at a time, d = max_k |t[i, k] - t[j, k]|, in the "dist"
-    buffer of the thread's workspace, each lag's differences in its
-    "lag" buffer: no [N, N, mm] difference array exists, and no [N, N]
-    array is allocated once the buffers are large enough. The result is an
-    exactly sized C-contiguous array, so its sum adds in the same order as
-    a fresh array's. max and abs are exact, so the values equal the
-    broadcast formulation bit for bit. The next call overwrites the result.
-    """
-    n = templates.shape[0]
-    ws = thread_workspace()
-    dist = _abs_differences(templates[:, 0], ws.take("dist", (n, n), np.float64))
-    lag = ws.take("lag", (n, n), np.float64)
-    for k in range(1, templates.shape[1]):
-        np.maximum(dist, _abs_differences(templates[:, k], lag), out=dist)
-    return dist
-
-
 def _sample_and_approximate_entropy(x: np.ndarray, m: int, r: float | None) -> tuple:
     """(SampEn, ApEn) from one pair of Chebyshev match masks.
 
@@ -217,11 +197,21 @@ def fuzzy_entropy(x: np.ndarray, m: int = 2, r: float | None = None) -> float:
     """FuzzyEn: ln phi(m) - ln phi(m+1) with similarity exp(-d^FUZZY_WIDTH / r).
 
     Templates are baseline-removed (their own mean subtracted) before the
-    Chebyshev distance; both template lengths use n-m templates. The mean
-    removal differs between lengths, so each length builds its own distance
-    matrix lag by lag instead of using the SampEn/ApEn shifted blocks. The
-    similarity is computed in place in that matrix; dividing by -r gives
-    the bits of negating and then dividing by r, since rounding is
+    Chebyshev distance; both template lengths use N = n-m templates, and
+    phi is the mean similarity over the N(N-1)/2 unordered template pairs.
+    The mean removal differs between lengths, so each length builds its
+    own distances instead of using the SampEn/ApEn shifted blocks.
+
+    Each pair is computed once, in circular-lag order: row L-1 of the
+    [N//2, N] array holds the distances between templates i and
+    (i + L) mod N for L = 1..N//2. Each template column is extended by
+    its first N//2 values, so every lag row is one contiguous slice of it.
+    For even N, lag N/2 lists each pair twice, and its second half is set
+    to 0 after the exp. The array and each column's differences live in
+    the "fuzzy" and "fuzzy_lag" buffers of the thread's workspace; the
+    array is exactly sized and C-contiguous, so its sum adds in the same
+    order as a fresh array's. max and abs are exact, and dividing by -r
+    gives the bits of negating and then dividing by r, since rounding is
     symmetric in sign.
     """
     x = _validate_entropy_input(x, m)
@@ -231,15 +221,29 @@ def fuzzy_entropy(x: np.ndarray, m: int = 2, r: float | None = None) -> float:
     if r is None:
         r = 0.2 * sd
     n_templates = x.size - m
+    half = n_templates // 2
+    ws = thread_workspace()
 
     def phi(mm):
         templates = sliding_window_view(x, mm)[:n_templates]
-        templates = templates - templates.mean(axis=1, keepdims=True)
-        mu = _lagwise_chebyshev(templates)
+        columns = (templates - templates.mean(axis=1, keepdims=True)).T
+        wrapped = np.concatenate((columns, columns[:, :half]), axis=1)
+        shifted = sliding_window_view(wrapped, n_templates, axis=1)[:, 1:half + 1]
+        mu = ws.take("fuzzy", (half, n_templates), np.float64)
+        lag = ws.take("fuzzy_lag", (half, n_templates), np.float64)
+        for k in range(mm):
+            diff = lag if k else mu
+            np.copyto(diff, shifted[k])
+            np.subtract(diff, wrapped[k, :n_templates], out=diff)
+            np.abs(diff, out=diff)
+            if k:
+                np.maximum(mu, diff, out=mu)
         mu **= FUZZY_WIDTH
         np.divide(mu, -r, out=mu)
         np.exp(mu, out=mu)
-        return (mu.sum() - n_templates) / (n_templates * (n_templates - 1))
+        if n_templates % 2 == 0:
+            mu[-1, half:] = 0.0  # the second copy of lag N/2's pairs
+        return 2.0 * mu.sum() / (n_templates * (n_templates - 1))
 
     return float(np.log(phi(m)) - np.log(phi(m + 1)))
 

@@ -180,6 +180,8 @@ def cmd_explain(args) -> int:
     from . import interpret, network
 
     svg_path = os.path.splitext(args.out)[0] + ".svg" if args.svg else None
+    if svg_path and os.path.abspath(svg_path) == os.path.abspath(args.out):
+        raise ValueError(f"--out {args.out} is also the path of the --svg heatmap")
     _check_output(args.out)
     if svg_path:
         _check_output(svg_path)

@@ -241,13 +241,17 @@ def paired_t_test(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
 
     t uses the sample standard deviation of the differences (n-1 divisor);
     the p-value comes from the Student-t distribution with df = n-1.
-    Raises ValueError when the differences have (numerically) zero
-    variance, since t is undefined there.
+    Raises ValueError for a non-finite measurement, and when the
+    differences have (numerically) zero variance, since t is undefined there.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("paired_t_test needs two equal-length vectors")
+    finite = np.isfinite(a) & np.isfinite(b)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"paired_t_test needs finite values, got ({a[i]}, {b[i]}) at pair {i}")
     n = a.size
     if n < 2:
         raise ValueError("paired_t_test needs at least 2 pairs")

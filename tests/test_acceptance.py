@@ -16,7 +16,7 @@ import pytest
 from drowse import baselines, cli, dataio, interpret, network, training
 from drowse.numerics import Rng, dft_power, paired_t_test
 
-from test_baselines import apen_oracle, fuzzyen_oracle, sampen_oracle
+from test_baselines import apen_oracle, fuzzyen_full_oracle, fuzzyen_oracle, sampen_oracle
 
 REDUCED = (4, 8)  # kernels and kernel length of the small model, on 48-point inputs
 
@@ -88,21 +88,26 @@ def test_criterion_2_heatmap_identities():
 
 def test_criterion_3_entropy_oracles():
     rng = Rng(33)
-    worst = 0.0
+    worst = worst_full = 0.0
     for i in range(50):
         n = 20 + int(rng.split("len", i).uniform(high=181))
         x = rng.split("sig", i).normal((n,))
+        fuzzy = baselines.fuzzy_entropy(x)
         worst = max(worst,
                     abs(baselines.approximate_entropy(x) - apen_oracle(x)),
                     abs(baselines.sample_entropy(x) - sampen_oracle(x)),
-                    abs(baselines.fuzzy_entropy(x) - fuzzyen_oracle(x)))
+                    abs(fuzzy - fuzzyen_oracle(x)))
+        full = fuzzyen_full_oracle(x)  # finite unless its diagonal cancels
+        if math.isfinite(full):
+            worst_full = max(worst_full, abs(fuzzy - full))
     const = np.full(80, 3.3)
     analytic_ok = (baselines.approximate_entropy(const) == 0.0
                    and baselines.sample_entropy(const) == 0.0
                    and baselines.fuzzy_entropy(const) == 0.0
                    and abs(baselines.sample_entropy(np.tile([1.0, -1.0], 30))) < 1e-12)
-    ok = worst < 1e-10 and analytic_ok
-    report(3, ok, f"50 random signals: max |impl - oracle| {worst:.2e} (<1e-10); "
+    ok = worst < 1e-10 and worst_full < 1e-10 and analytic_ok
+    report(3, ok, f"50 random signals: max |impl - oracle| {worst:.2e} (<1e-10), "
+                  f"FuzzyEn vs full-matrix form {worst_full:.2e} (<1e-10); "
                   f"constant and alternating cases exact {analytic_ok}")
 
 

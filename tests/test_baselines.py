@@ -34,8 +34,12 @@ def tone(freq_hz, amp=1.0, phase=0.0):
 
 # Brute-force oracles: for each template length, every pair's Chebyshev
 # distance from one [N, N, m] broadcast, then a count or exp. This is the
-# formulation the shifted-block and lag-wise code in baselines replaced; it
-# sums in the same order, so the two must agree bit for bit.
+# formulation the shifted-block and circular-lag code in baselines
+# replaced. The counts are exact; FuzzyEn's oracle gathers its unordered
+# pairs from the full matrix in the program's circular-lag order and sums
+# them as one [N//2, N] array, so the two must agree bit for bit.
+# fuzzyen_full_oracle keeps the textbook form, the full matrix sum minus
+# its diagonal, which agrees only to rounding.
 
 def _broadcast_chebyshev(t):
     return np.abs(t[:, None, :] - t[None, :, :]).max(axis=2)
@@ -75,17 +79,51 @@ def sampen_oracle(x, m=2, r=None):
     return float(-np.log(max(a, 0.5) / max(b, 0.5)))
 
 
-def fuzzyen_oracle(x, m=2, r=None, width=2):
+def circular_lag_pairs(n):
+    """(i, j) index arrays of shape [n//2, n]: row L-1 pairs template i with
+    (i + L) mod n, and for even n the second half of the last row repeats
+    its first half, so `keep` masks it out."""
+    half = n // 2
+    i = np.broadcast_to(np.arange(n), (half, n))
+    j = (i + np.arange(1, half + 1)[:, None]) % n
+    keep = np.ones((half, n), dtype=bool)
+    if n % 2 == 0:
+        keep[-1, half:] = False
+    return i, j, keep
+
+
+def _fuzzy_memberships(x, m, r, width):
     x, sd, r = _reference_setup(x, r)
-    if sd == 0.0:
-        return 0.0
     n_templates = x.size - m
 
-    def phi(mm):
+    def memberships(mm):
         templates = sliding_window_view(x, mm)[:n_templates]
         templates = templates - templates.mean(axis=1, keepdims=True)
-        mu = np.exp(-(_broadcast_chebyshev(templates) ** width) / r)
-        return (mu.sum() - n_templates) / (n_templates * (n_templates - 1))
+        return np.exp(-(_broadcast_chebyshev(templates) ** width) / r)
+
+    return sd, n_templates, memberships
+
+
+def fuzzyen_oracle(x, m=2, r=None, width=2):
+    sd, n_templates, memberships = _fuzzy_memberships(x, m, r, width)
+    if sd == 0.0:
+        return 0.0
+    i, j, keep = circular_lag_pairs(n_templates)
+
+    def phi(mm):
+        pairs = np.where(keep, memberships(mm)[i, j], 0.0)
+        return 2.0 * pairs.sum() / (n_templates * (n_templates - 1))
+
+    return float(np.log(phi(m)) - np.log(phi(m + 1)))
+
+
+def fuzzyen_full_oracle(x, m=2, r=None, width=2):
+    sd, n_templates, memberships = _fuzzy_memberships(x, m, r, width)
+    if sd == 0.0:
+        return 0.0
+
+    def phi(mm):
+        return (memberships(mm).sum() - n_templates) / (n_templates * (n_templates - 1))
 
     return float(np.log(phi(m)) - np.log(phi(m + 1)))
 
@@ -193,6 +231,29 @@ class TestEntropies:
             assert approximate_entropy(x) == pytest.approx(apen_oracle(x), abs=1e-10)
             assert sample_entropy(x) == pytest.approx(sampen_oracle(x), abs=1e-10)
             assert fuzzy_entropy(x) == pytest.approx(fuzzyen_oracle(x), abs=1e-10)
+
+    def test_circular_lags_list_each_pair_once(self):
+        for n in range(2, 14):
+            i, j, keep = circular_lag_pairs(n)
+            pairs = sorted((min(a, b), max(a, b)) for a, b in zip(i[keep], j[keep]))
+            assert pairs == [(a, b) for a in range(n) for b in range(a + 1, n)], n
+
+    def test_short_signals_match_the_full_matrix_form(self):
+        # N = n - m templates from 2 to 13: every lag count, odd and even
+        x = Rng(59).normal((16,))
+        for m in (1, 2, 3):
+            for n in range(m + 2, m + 14):
+                assert fuzzy_entropy(x[:n], m) == pytest.approx(
+                    fuzzyen_full_oracle(x[:n], m), abs=1e-10), (m, n)
+
+    def test_fuzzy_entropy_has_no_diagonal_cancellation(self):
+        # Far-apart templates make every off-diagonal similarity tiny; the
+        # full-matrix sum minus N rounds their total to 0, whose log is -inf.
+        row = generate_synthetic(2, 10, 54).data[3].astype(np.float64)
+        assert fuzzy_entropy(row[:6], 2) == fuzzyen_oracle(row[:6], 2)
+        assert fuzzy_entropy(row[:6], 2) == pytest.approx(84.129, abs=1e-3)
+        assert fuzzy_entropy(row[:7], 3) == fuzzyen_oracle(row[:7], 3)
+        assert fuzzy_entropy(row[:7], 3) == pytest.approx(-1.4166, abs=1e-4)
 
     def test_sine_more_regular_than_noise(self):
         t = np.arange(100) / 100.0

@@ -215,6 +215,24 @@ class TestTrainExplain:
         svg = (tmp_path / "heat.svg").read_text()
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
+    def test_svg_path_equal_to_csv_path_refused(self, synth_file, model_file, tmp_path,
+                                                capsys, monkeypatch):
+        # --out h.svg --svg would write the CSV and then overwrite it with the SVG
+        from drowse import network
+
+        def no_load(*_args):
+            raise AssertionError("loaded the model for outputs that clash")
+
+        monkeypatch.setattr(network, "load_params", no_load)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        for out in ("h.svg", str(tmp_path / "sub" / ".." / "h.svg")):
+            code = run("explain", "--model", model_file, "--data", synth_file,
+                       "--out", out, "--svg")
+            assert code == 2
+            assert "also the path of the --svg heatmap" in capsys.readouterr().err
+        assert not (tmp_path / "h.svg").exists()
+
     def test_index_out_of_range(self, synth_file, model_file, tmp_path, capsys):
         code = run("explain", "--model", model_file, "--data", synth_file,
                    "--sample", "72", "--out", str(tmp_path / "x.csv"))

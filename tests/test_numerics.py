@@ -171,6 +171,13 @@ class TestPairedTTest:
         with pytest.raises(ValueError, match="zero-variance"):
             paired_t_test(a, a.copy())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused(self, bad):
+        with pytest.raises(ValueError, match=r"finite values, got \((nan|-?inf), 0.0\) at pair 1"):
+            paired_t_test([1.0, bad, 3.0], [0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="finite values"):
+            paired_t_test([0.0, 0.0, 0.0], [1.0, 2.0, bad])
+
     def test_constant_shift_degenerate(self):
         a = np.array([0.31, 0.52, 0.47, 0.66])
         with pytest.raises(ValueError, match="zero-variance"):
